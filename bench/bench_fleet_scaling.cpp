@@ -7,11 +7,11 @@
 //     device steps (chargeable device events) per wall-second.
 //
 //  2. Sim-mode comparison: the same lockstep-eligible single-group fleet
-//     under all three SimKinds (stepping oracle, discrete-event
-//     scheduler, batched lockstep cohorts) on one lane. Every mode must
-//     produce the identical fleet digest (exit 1 otherwise); the report
-//     states each mode's device-events-per-wall-second, the batched
-//     speedup over the stepping oracle, and where that lands against the
+//     under both SimKinds (stepping oracle, batched lockstep cohorts) on
+//     one lane. Both modes must produce the identical fleet digest (exit
+//     1 otherwise); the report states each mode's
+//     device-events-per-wall-second, the batched speedup over the
+//     stepping oracle, and where that lands against the
 //     >=5x acceptance floor / >=10x roadmap target. Pass --floor X to
 //     turn the floor into a hard gate (exit 1 when the batched speedup
 //     is below X).
@@ -157,8 +157,7 @@ int main(int argc, char** argv) {
   double batched_speedup = 0.0;
   bool modes_identical = true;
   for (const fleet::SimKind sim :
-       {fleet::SimKind::kStepping, fleet::SimKind::kScheduler,
-        fleet::SimKind::kBatched}) {
+       {fleet::SimKind::kStepping, fleet::SimKind::kBatched}) {
     fleet::FleetSpec spec_for_mode = mode_spec;
     spec_for_mode.sim = sim;
     runtime::ThreadPool pool(1);

@@ -1,8 +1,9 @@
 // bench_perf_gate: the perf-regression gate behind the CI `perf-gate` job.
 //
 // Runs a fixed set of median-of-k timed scenarios — the GEMM micro-kernels
-// (optimized and retained-naive reference), a Conv2d::infer, one
-// end-to-end intermittent inference, and a sensitivity sweep — and writes
+// (optimized and retained-naive reference), a Conv2d::infer, the BSR
+// packing and Q15 quantization deploy steps, one end-to-end intermittent
+// inference, a sensitivity sweep, and the fleet simulator — and writes
 // BENCH_PERF.json (schema util::PerfReport). With --check the report is
 // compared against the checked-in baseline and the process exits nonzero
 // on a regression, a checksum change (the kernels' numerics drifted), or
@@ -29,6 +30,7 @@
 
 #include "core/sensitivity.hpp"
 #include "data/synthetic.hpp"
+#include "engine/bsr.hpp"
 #include "engine/engine.hpp"
 #include "fleet/orchestrator.hpp"
 #include "nn/activation.hpp"
@@ -36,6 +38,7 @@
 #include "nn/dense.hpp"
 #include "nn/gemm.hpp"
 #include "nn/pool.hpp"
+#include "nn/quantize.hpp"
 #include "nn/trainer.hpp"
 #include "power/supply.hpp"
 #include "util/atomic_write.hpp"
@@ -160,6 +163,64 @@ PerfEntry time_conv_infer(std::size_t iters) {
   return e;
 }
 
+PerfEntry time_bsr_build(std::size_t iters) {
+  // Deploy-time packing of a half-zero 64x768 FC weight matrix into 4x12
+  // LEA blocks; the checksum covers the whole packed layout.
+  namespace engine = iprune::engine;
+  namespace nn = iprune::nn;
+  iprune::util::Rng rng(3);
+  engine::TilePlan plan;
+  plan.rows = 64;
+  plan.cols = 1;
+  plan.k = 768;
+  plan.br = 4;
+  plan.bk = 12;
+  plan.bc = 1;
+  nn::Tensor dense({plan.rows, plan.k});
+  for (std::size_t i = 0; i < dense.numel(); ++i) {
+    dense[i] = rng.bernoulli(0.5) ? static_cast<float>(rng.normal()) : 0.0f;
+  }
+  const nn::QTensor q = nn::quantize_q15(dense);
+  nn::Tensor mask(dense.shape());
+  for (std::size_t i = 0; i < mask.numel(); ++i) {
+    mask[i] = dense[i] != 0.0f ? 1.0f : 0.0f;
+  }
+  const engine::BlockMask bmask = engine::BlockMask::from_dense(mask, plan);
+  const engine::BsrMatrix bsr = engine::BsrMatrix::build(q, bmask, plan);
+  Checksum sum;
+  sum.fold(bsr.row_ptr().data(),
+           bsr.row_ptr().size() * sizeof(std::uint32_t));
+  sum.fold(bsr.col_idx().data(),
+           bsr.col_idx().size() * sizeof(std::uint32_t));
+  sum.fold(bsr.values().data(), bsr.values().size() * sizeof(std::int16_t));
+  PerfEntry e;
+  e.name = "bsr_build_64x768";
+  e.iters = iters;
+  e.checksum = sum.value();
+  e.median_ns = median_ns(
+      iters, [&] { (void)engine::BsrMatrix::build(q, bmask, plan); });
+  return e;
+}
+
+PerfEntry time_quantize_q15(std::size_t iters) {
+  iprune::util::Rng rng(4);
+  iprune::nn::Tensor t({65536});
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(rng.normal());
+  }
+  const iprune::nn::QTensor q = iprune::nn::quantize_q15(t);
+  Checksum sum;
+  sum.fold(q.data.data(), q.data.size() * sizeof(std::int16_t));
+  sum.fold(&q.scale, sizeof(q.scale));
+  PerfEntry e;
+  e.name = "quantize_q15_65536";
+  e.iters = iters;
+  e.checksum = sum.value();
+  e.median_ns =
+      median_ns(iters, [&] { (void)iprune::nn::quantize_q15(t); });
+  return e;
+}
+
 /// Small conv+dense graph, the shape of the engine test models.
 iprune::nn::Graph make_engine_graph(iprune::util::Rng& rng) {
   namespace nn = iprune::nn;
@@ -258,8 +319,8 @@ PerfEntry time_fleet_sim(std::size_t iters, iprune::fleet::SimKind sim,
   // orchestrator path (spec resolution, device construction, inference,
   // aggregation) without scheduler noise. The checksum is the fleet
   // digest, so numeric drift anywhere in the device stack trips the gate.
-  // Timed per sim kind; all kinds must produce the identical digest, so
-  // the three entries' checksums double as a cross-mode equivalence gate.
+  // Timed per sim kind; both kinds must produce the identical digest, so
+  // the two entries' checksums double as a cross-mode equivalence gate.
   iprune::fleet::FleetSpec spec = iprune::fleet::FleetSpec::example(16);
   spec.inferences = 2;
   spec.sim = sim;
@@ -289,23 +350,21 @@ PerfReport run_all() {
   report.add(time_gemm("gemm_a_bt_64", iprune::nn::gemm_a_bt, kM, kM, kM,
                        1.0, kMicroIters));
   report.add(time_conv_infer(17));
+  report.add(time_bsr_build(kMicroIters));
+  report.add(time_quantize_q15(kMicroIters));
   report.add(time_engine_e2e(7));
   report.add(time_sensitivity_sweep(5));
   report.add(
       time_fleet_sim(5, iprune::fleet::SimKind::kStepping, "fleet_sim_16"));
-  report.add(time_fleet_sim(5, iprune::fleet::SimKind::kScheduler,
-                            "fleet_sim_16_scheduler"));
   report.add(time_fleet_sim(5, iprune::fleet::SimKind::kBatched,
                             "fleet_sim_16_batched"));
   const PerfEntry* stepping = report.find("fleet_sim_16");
-  for (const char* mode : {"fleet_sim_16_scheduler", "fleet_sim_16_batched"}) {
-    const PerfEntry* entry = report.find(mode);
-    if (stepping != nullptr && entry != nullptr &&
-        entry->checksum != stepping->checksum) {
-      throw std::runtime_error(std::string(mode) +
-                               ": fleet digest diverged from the stepping "
-                               "oracle — sim modes are no longer bit-identical");
-    }
+  const PerfEntry* batched = report.find("fleet_sim_16_batched");
+  if (stepping != nullptr && batched != nullptr &&
+      batched->checksum != stepping->checksum) {
+    throw std::runtime_error(
+        "fleet_sim_16_batched: fleet digest diverged from the stepping "
+        "oracle — sim modes are no longer bit-identical");
   }
 
   const PerfEntry* opt = report.find("gemm_dense_64");

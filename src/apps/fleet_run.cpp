@@ -55,8 +55,7 @@ int usage(const char* argv0) {
       "  --out DIR            gateway output directory (default "
       "artifacts/fleet)\n"
       "  --gateway KIND       null | csv | prom | all (default all)\n"
-      "  --sim KIND           stepping | scheduler | batched (default: "
-      "spec)\n"
+      "  --sim KIND           stepping | batched (default: spec)\n"
       "  --print-spec         print the resolved spec and exit\n",
       argv0);
   return 2;

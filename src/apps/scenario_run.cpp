@@ -24,7 +24,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s FILE [options]\n"
-      "  --sim KIND           stepping | scheduler | batched | all —\n"
+      "  --sim KIND           stepping | batched | all —\n"
       "                       override the scenario's sim list\n"
       "  --gateway KIND       null | csv | prom | all (default null)\n"
       "  --out DIR            gateway output directory (default "

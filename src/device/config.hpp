@@ -18,10 +18,10 @@ struct MemoryConfig {
 };
 
 // The latency helpers below are THE chargeable-event cost table: the
-// stepping device model, the discrete-event scheduler, the batched fleet
-// engine, and the host-side pruning criterion all price operations through
-// them. The floating-point expression order is part of the contract —
-// golden latency/energy figures depend on bit-identical arithmetic.
+// stepping device model, the batched fleet engine, and the host-side
+// pruning criterion all price operations through them. The floating-point
+// expression order is part of the contract — golden latency/energy figures
+// depend on bit-identical arithmetic.
 
 struct DmaConfig {
   /// Fixed per-command cost: DMA setup + NVM (SPI) invocation.

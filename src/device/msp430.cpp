@@ -57,30 +57,9 @@ void Msp430Device::reset_stats() {
 }
 
 void Msp430Device::set_trace_sink(telemetry::TraceSink* sink) {
-  // An active grant was planned under the previous tracing state; tracing
-  // makes every event a decision point, so re-plan.
-  sync_fault_events();
   sink_ = sink != nullptr ? sink : &telemetry::NullSink::instance();
   trace_on_ = sink_->enabled();
   power_.set_trace_sink(sink);
-}
-
-void Msp430Device::sync_fault_events() {
-  flush_pending_events();
-  grant_.events = 0;
-}
-
-void Msp430Device::flush_pending_events() {
-  if (pending_events_ == 0) {
-    return;
-  }
-  if (fault_hook_ != nullptr) {
-    fault_hook_->skip_quiet_events(pending_events_, pending_points_);
-  }
-  pending_events_ = 0;
-  for (std::uint64_t& count : pending_points_) {
-    count = 0;
-  }
 }
 
 void Msp430Device::record_span(telemetry::EventClass cls, double t_us,
@@ -104,11 +83,6 @@ void Msp430Device::record_span(telemetry::EventClass cls, double t_us,
 }
 
 void Msp430Device::power_cycle() {
-  // The reboot charge (and any back-to-back retry) consults the fault
-  // hook through the exact path, consuming ordinals a partially-used
-  // grant did not plan for — invalidate it. Pending skipped ordinals were
-  // flushed by the caller before entering here.
-  grant_.events = 0;
   ++vm_epoch_;
   ++stats_.power_failures;
   const double reboot_us = config_.reboot_us;
@@ -190,20 +164,6 @@ bool Msp430Device::charge_split(double latency_us, double energy_j,
         " J); inference cannot terminate — shrink the operation "
         "granularity or enlarge the capacitor");
   }
-  if (sim_mode_ == power::SimMode::kScheduler) {
-    if (grant_.events == 0 || clock_us_ >= grant_.end_us) {
-      // Settle skipped ordinals first: the re-plan consults the hook's
-      // quiet horizon, which must see the true event counters.
-      flush_pending_events();
-      grant_ = scheduler_.plan(clock_us_, power_.supply(), fault_hook_,
-                               trace_on_);
-    }
-    if (grant_.events > 0 && clock_us_ < grant_.end_us) {
-      return charge_fast(latency_us, energy_j, tag_share_us, point);
-    }
-    // No fast-forward window (tracing on, schedule may fire, or supply
-    // guard band): fall through to the exact per-event path below.
-  }
   if (power_.consume(clock_us_ * 1e-6, latency_us * 1e-6, energy_j, point)) {
     apply_staged(true);
     clock_us_ += latency_us;
@@ -222,39 +182,6 @@ bool Msp430Device::charge_split(double latency_us, double energy_j,
   apply_staged(false);
   clock_us_ += latency_us;
   stats_.on_time_us += latency_us;
-  power_cycle();
-  return false;
-}
-
-bool Msp430Device::charge_fast(double latency_us, double energy_j,
-                               const double* tag_share_us,
-                               power::FaultPoint point) {
-  // The grant guarantees: the hook answers false for this event (ordinal
-  // settled later in bulk) and the harvest power is grant_.power_w for an
-  // operation starting now. consume_quiet replays consume()'s arithmetic
-  // exactly, so every stat below matches the stepping oracle bit for bit.
-  --grant_.events;
-  ++pending_events_;
-  ++pending_points_[static_cast<std::size_t>(point)];
-  if (power_.consume_quiet(latency_us * 1e-6, energy_j, grant_.power_w)) {
-    apply_staged(true);
-    clock_us_ += latency_us;
-    stats_.on_time_us += latency_us;
-    stats_.energy_j += energy_j;
-    for (std::size_t t = 0;
-         t < static_cast<std::size_t>(CostTag::kTagCount); ++t) {
-      stats_.tag_time_us[t] += tag_share_us[t];
-    }
-    return true;
-  }
-  // Organic brown-out inside the window (last_outage_injected is false,
-  // so a staged batch drops entirely — same as the oracle). The failed
-  // event consumed its skipped ordinal above; settle all of them before
-  // the reboot's own hook-visible consume.
-  apply_staged(false);
-  clock_us_ += latency_us;
-  stats_.on_time_us += latency_us;
-  flush_pending_events();
   power_cycle();
   return false;
 }

@@ -14,7 +14,6 @@
 #include "device/config.hpp"
 #include "device/nvm.hpp"
 #include "power/manager.hpp"
-#include "sim/scheduler.hpp"
 #include "telemetry/sink.hpp"
 
 namespace iprune::device {
@@ -91,39 +90,8 @@ class Msp430Device {
   /// during the reboot itself is survivable (back-to-back failures) and
   /// bounded by a retry watchdog. Non-owning; must outlive the device.
   void set_fault_hook(power::FaultHook* hook) {
-    sync_fault_events();  // settle skipped ordinals with the old hook
     fault_hook_ = hook;
     power_.set_fault_hook(hook);
-  }
-
-  /// Select how the simulation advances time. kStepping (default) runs
-  /// every chargeable event through the exact consume() path; kScheduler
-  /// fast-forwards through hook-quiet constant-harvest windows planned by
-  /// sim::DeviceScheduler — bit-identical results, fewer virtual calls.
-  void set_sim_mode(power::SimMode mode) {
-    if (mode == sim_mode_) {
-      return;
-    }
-    sync_fault_events();
-    sim_mode_ = mode;
-  }
-  [[nodiscard]] power::SimMode sim_mode() const { return sim_mode_; }
-
-  /// Settle every fault-hook ordinal skipped inside the current charge
-  /// grant and invalidate the grant. Must be called before reading the
-  /// hook's counters externally (the fleet layer does, after a run); also
-  /// invoked internally at every slow-path boundary (reboot, commit
-  /// boundary, hook/sink swap, mode switch).
-  void sync_fault_events();
-
-  /// Engine notification: a commit/seal boundary was reached. In
-  /// scheduler mode this is a decision point — skipped ordinals are
-  /// settled and the grant is re-planned — so externally visible fault
-  /// state is exact at every commit record.
-  void on_commit_boundary() {
-    if (sim_mode_ == power::SimMode::kScheduler) {
-      sync_fault_events();
-    }
   }
 
   /// Bytes of the most recent staged WriteBatch that actually landed in
@@ -184,13 +152,6 @@ class Msp430Device {
   [[nodiscard]] bool charge_split(double latency_us, double energy_j,
                                   const double* tag_share_us,
                                   power::FaultPoint point);
-  /// Scheduler-mode fast path: charge one event inside the active grant
-  /// (hook guaranteed quiet, harvest power cached) via consume_quiet.
-  [[nodiscard]] bool charge_fast(double latency_us, double energy_j,
-                                 const double* tag_share_us,
-                                 power::FaultPoint point);
-  /// Report the pending skipped ordinals to the fault hook in bulk.
-  void flush_pending_events();
   [[nodiscard]] bool pipelined_impl(const WriteBatch* batch, std::size_t macs,
                                     std::size_t write_bytes,
                                     std::size_t cpu_cycles);
@@ -217,16 +178,6 @@ class Msp430Device {
   power::FaultHook* fault_hook_ = nullptr;
   const WriteBatch* staged_batch_ = nullptr;
   std::size_t last_staged_kept_ = 0;
-
-  // --- discrete-event scheduler state (kScheduler mode only) ---
-  power::SimMode sim_mode_ = power::SimMode::kStepping;
-  sim::DeviceScheduler scheduler_;
-  sim::ChargeGrant grant_;  // events == 0: no active fast-forward window
-  /// Hook ordinals skipped inside the grant, not yet settled: total and
-  /// per-FaultPoint breakdown (indexed by FaultPoint).
-  std::uint64_t pending_events_ = 0;
-  std::uint64_t pending_points_[static_cast<std::size_t>(
-      power::FaultPoint::kPointCount)] = {};
 };
 
 }  // namespace iprune::device

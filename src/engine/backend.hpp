@@ -112,19 +112,13 @@ class Backend {
     return nullptr;
   }
 
-  // --- telemetry / fault / sim-mode hooks (default: inert) ---
+  // --- telemetry / fault hooks (default: inert) ---
   virtual void set_trace_sink(telemetry::TraceSink* /*sink*/) {}
   [[nodiscard]] virtual bool trace_enabled() const { return false; }
   [[nodiscard]] virtual telemetry::TraceSink& trace_sink() const {
     return telemetry::NullSink::instance();
   }
   virtual void set_fault_hook(power::FaultHook* /*hook*/) {}
-  virtual void set_sim_mode(power::SimMode /*mode*/) {}
-  [[nodiscard]] virtual power::SimMode sim_mode() const {
-    return power::SimMode::kStepping;
-  }
-  virtual void sync_fault_events() {}
-  virtual void on_commit_boundary() {}
 
   /// Bytes of the most recent staged WriteBatch that landed in NVM.
   [[nodiscard]] virtual std::size_t last_staged_kept() const = 0;
@@ -192,14 +186,6 @@ class CycleBackend : public Backend {
   void set_fault_hook(power::FaultHook* hook) override {
     device_->set_fault_hook(hook);
   }
-  void set_sim_mode(power::SimMode mode) override {
-    device_->set_sim_mode(mode);
-  }
-  [[nodiscard]] power::SimMode sim_mode() const override {
-    return device_->sim_mode();
-  }
-  void sync_fault_events() override { device_->sync_fault_events(); }
-  void on_commit_boundary() override { device_->on_commit_boundary(); }
   [[nodiscard]] std::size_t last_staged_kept() const override {
     return device_->last_staged_kept();
   }

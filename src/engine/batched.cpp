@@ -332,10 +332,7 @@ void BatchedEngine::stage_progress(device::WriteBatch& batch) const {
   batch.push_u32(progress_addr_, job_counter_ + 1);
 }
 
-void BatchedEngine::note_commit() {
-  ++job_counter_;
-  leader_.on_commit_boundary();
-}
+void BatchedEngine::note_commit() { ++job_counter_; }
 
 bool BatchedEngine::recover_progress() {
   if (!leader_.dma_read(8)) {  // progress indicator re-read

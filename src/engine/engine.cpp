@@ -159,9 +159,6 @@ void IntermittentEngine::stage_progress(device::WriteBatch& batch) const {
 
 void IntermittentEngine::note_commit() {
   ++job_counter_;
-  // Commit records are externally visible progress: in scheduler mode the
-  // device settles skipped fault ordinals and re-plans its window here.
-  backend_.on_commit_boundary();
   if (probe_ != nullptr) {
     probe_->on_commit(job_counter_);
   }

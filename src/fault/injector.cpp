@@ -50,66 +50,6 @@ std::size_t FaultInjector::torn_write_bytes(std::size_t total_bytes) {
   return 0;
 }
 
-std::uint64_t FaultInjector::quiet_events() const {
-  const std::uint64_t budget_left =
-      event_budget_ == kNoBudget
-          ? kNoBudget
-          : (events_ >= event_budget_ ? 0 : event_budget_ - events_);
-
-  std::uint64_t schedule_quiet = 0;
-  if (outages_.size() >= schedule_.max_outages) {
-    // The schedule already fired its maximum; every future event is quiet.
-    schedule_quiet = kNoBudget;
-  } else {
-    switch (schedule_.mode) {
-      case ScheduleMode::kNone:
-        schedule_quiet = kNoBudget;
-        break;
-      case ScheduleMode::kFixed: {
-        // Next scheduled ordinal >= events_ (the list is sorted unique).
-        const auto it = std::lower_bound(schedule_.fixed_events.begin(),
-                                         schedule_.fixed_events.end(),
-                                         events_);
-        schedule_quiet = it == schedule_.fixed_events.end()
-                             ? kNoBudget
-                             : *it - events_;
-        break;
-      }
-      case ScheduleMode::kEveryNth: {
-        // Next firing ordinal o >= events_ with (o + 1) % n == 0.
-        const std::uint64_t n = schedule_.every_n;
-        const std::uint64_t next = (events_ + 1 + (n - 1)) / n * n - 1;
-        schedule_quiet = next - events_;
-        break;
-      }
-      case ScheduleMode::kRandom:
-        schedule_quiet = 0;  // every event consumes an RNG draw
-        break;
-      case ScheduleMode::kAtWrite: {
-        const std::uint64_t writes =
-            point_events_[static_cast<std::size_t>(
-                power::FaultPoint::kNvmWrite)];
-        // Once the target write ordinal is behind us the schedule can
-        // never fire again; otherwise any upcoming event could be the
-        // write that triggers it.
-        schedule_quiet = writes > schedule_.write_index ? kNoBudget : 0;
-        break;
-      }
-    }
-  }
-  return std::min(schedule_quiet, budget_left);
-}
-
-void FaultInjector::skip_quiet_events(std::uint64_t count,
-                                      const std::uint64_t* per_point) {
-  events_ += count;
-  if (per_point != nullptr) {
-    for (std::size_t p = 0; p < point_events_.size(); ++p) {
-      point_events_[p] += per_point[p];
-    }
-  }
-}
-
 bool FaultInjector::decide(power::FaultPoint point, std::uint64_t ordinal,
                            std::uint64_t write_ordinal) {
   switch (schedule_.mode) {

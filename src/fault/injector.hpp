@@ -38,20 +38,6 @@ class FaultInjector final : public power::FaultHook {
   /// replays with the same seed tear at the same offsets.
   std::size_t torn_write_bytes(std::size_t total_bytes) override;
 
-  /// FaultHook: how many upcoming consecutive events are guaranteed quiet
-  /// (no injection, no budget exhaustion) regardless of their FaultPoint.
-  /// Pure: does not advance any counter. The bound is the distance to the
-  /// schedule's next possible firing, clamped to the remaining event
-  /// budget — so a granted window can never skip past the watchdog.
-  /// kRandom schedules answer 0 (every event consumes an RNG draw).
-  [[nodiscard]] std::uint64_t quiet_events() const override;
-
-  /// FaultHook: settle `count` events skipped inside a quiet window,
-  /// advancing the global and per-point ordinals exactly as `count`
-  /// should_fail calls returning false would have.
-  void skip_quiet_events(std::uint64_t count,
-                         const std::uint64_t* per_point) override;
-
   /// Rewind to the pre-run state (counters, RNG stream, realized outages)
   /// so one injector can drive several runs of the same schedule.
   void reset();

@@ -44,9 +44,6 @@ struct MemberStack {
     samples = fault::make_batch(rng, graph, spec.inferences);
     device = std::make_unique<device::Msp430Device>(spec.backend.device,
                                                     spec.power.make());
-    // Same as DeviceSim under sim!=stepping: the scheduler path carries
-    // even the deployment writes (bit-identical, fewer virtual calls).
-    device->set_sim_mode(power::SimMode::kScheduler);
     engine::EngineConfig config;
     config.mode = spec.mode;  // eligibility guarantees write/read_ber == 0
     model = std::make_unique<engine::DeployedModel>(graph, config, *device,
@@ -216,8 +213,7 @@ std::vector<DeviceResult> run_cohort(std::span<const DeviceSpec> specs) {
     }
   }
 
-  // Harvest the (member-invariant) timeline from the leader. Detaching
-  // the hook settles any skipped ordinals first.
+  // Harvest the (member-invariant) timeline from the leader.
   leader.set_fault_hook(nullptr);
   const device::DeviceStats& ds = leader.stats();
   const power::PowerStats& ps = leader.power().stats();

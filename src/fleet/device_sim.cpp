@@ -40,13 +40,6 @@ DeviceSim::DeviceSim(const DeviceSpec& spec)
   samples_ = fault::make_batch(rng_, graph_, spec_.inferences);
 
   backend_ = engine::make_backend(spec_.backend, spec_.power.make());
-  if (spec_.sim != SimKind::kStepping) {
-    // Scheduler mode is set before deployment so even the deployment
-    // writes ride the event-driven path (bit-identical either way). The
-    // functional backend has no event stream — set_sim_mode is a no-op
-    // there, so scheduler and stepping are trivially identical.
-    backend_->set_sim_mode(power::SimMode::kScheduler);
-  }
 
   engine::EngineConfig config;
   config.mode = spec_.mode;

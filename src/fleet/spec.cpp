@@ -94,8 +94,6 @@ const char* sim_kind_name(SimKind kind) {
   switch (kind) {
     case SimKind::kStepping:
       return "stepping";
-    case SimKind::kScheduler:
-      return "scheduler";
     case SimKind::kBatched:
       return "batched";
   }
@@ -105,9 +103,6 @@ const char* sim_kind_name(SimKind kind) {
 SimKind parse_sim_kind(const std::string& name) {
   if (name == "stepping") {
     return SimKind::kStepping;
-  }
-  if (name == "scheduler") {
-    return SimKind::kScheduler;
   }
   if (name == "batched") {
     return SimKind::kBatched;
@@ -614,7 +609,6 @@ std::vector<DeviceSpec> FleetSpec::resolve() const {
       d.deadline_s = deadline_s;
       d.event_budget = event_budget;
       d.telemetry = telemetry;
-      d.sim = sim;
       devices.push_back(std::move(d));
     }
   }

@@ -36,13 +36,12 @@ enum class ModelKind : std::uint8_t { kTiny, kMultipath };
 const char* model_kind_name(ModelKind kind);
 ModelKind parse_model_kind(const std::string& name);
 
-/// How the orchestrator advances devices through simulated time. All
-/// three produce bit-identical FleetResults (the differential tests pin
-/// this); they differ only in wall-clock cost.
+/// How the orchestrator advances devices through simulated time. Both
+/// produce bit-identical FleetResults (the differential tests pin this);
+/// they differ only in wall-clock cost.
 enum class SimKind : std::uint8_t {
-  kStepping,   // event-by-event oracle (power stepped per primitive)
-  kScheduler,  // discrete-event charge grants over hook-quiet windows
-  kBatched,    // scheduler + lockstep cohorts for eligible groups
+  kStepping,  // event-by-event oracle (power stepped per primitive)
+  kBatched,   // lockstep cohorts for eligible groups, stepping otherwise
 };
 
 const char* sim_kind_name(SimKind kind);
@@ -180,7 +179,6 @@ struct DeviceSpec {
   double deadline_s = 0.0;  // 0 = no deadline
   std::uint64_t event_budget = 0;
   bool telemetry = false;
-  SimKind sim = SimKind::kStepping;
 };
 
 struct FleetSpec {
@@ -197,8 +195,8 @@ struct FleetSpec {
   /// Per-device chargeable-event watchdog (guards against schedules
   /// denser than forward progress); exceeding it marks the device failed.
   std::uint64_t event_budget = 1ull << 23;
-  /// Simulation strategy (stepping oracle, event-driven scheduler, or
-  /// batched lockstep cohorts). Never changes results, only wall-clock.
+  /// Simulation strategy (stepping oracle or batched lockstep cohorts).
+  /// Never changes results, only wall-clock.
   SimKind sim = SimKind::kStepping;
   std::vector<DeviceGroup> groups;
 

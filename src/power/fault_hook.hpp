@@ -67,26 +67,6 @@ class FaultHook {
     (void)total_bytes;
     return 0;
   }
-
-  /// Lower bound on the number of *upcoming consecutive* chargeable
-  /// events (of any FaultPoint) for which should_fail would return false
-  /// and not throw. The discrete-event scheduler uses this to grant the
-  /// device a hook-free window it can charge through without per-event
-  /// calls; events inside the window are later settled in bulk via
-  /// skip_quiet_events. 0 (the default) disables the fast path, so
-  /// existing custom hooks keep exact per-event behaviour.
-  [[nodiscard]] virtual std::uint64_t quiet_events() const { return 0; }
-
-  /// Settle `count` events that were skipped inside a quiet window:
-  /// advance internal ordinals exactly as if should_fail had been called
-  /// `count` times and returned false. `per_point[kPointCount]` gives the
-  /// per-FaultPoint breakdown (summing to count) for hooks that track
-  /// per-point ordinals. No-op by default.
-  virtual void skip_quiet_events(std::uint64_t count,
-                                 const std::uint64_t* per_point) {
-    (void)count;
-    (void)per_point;
-  }
 };
 
 }  // namespace iprune::power

@@ -58,26 +58,6 @@ bool PowerManager::consume(double now_s, double duration_s, double energy_j,
   return false;
 }
 
-bool PowerManager::consume_quiet(double duration_s, double energy_j,
-                                 double power_w) {
-  // EXACT floating-point replica of consume() minus the hook call and
-  // telemetry; the caller guarantees the hook would have been quiet and
-  // `power_w` matches the supply's virtual answer over the operation.
-  const double harvested = power_w * duration_s;
-  stats_.harvested_j += harvested;
-  stats_.wasted_j += buffer_.deposit(harvested);
-
-  last_outage_injected_ = false;
-  const double stored = buffer_.stored_j();
-  if (buffer_.withdraw(energy_j)) {
-    stats_.consumed_j += energy_j;
-    return true;
-  }
-  stats_.consumed_j += stored;
-  ++stats_.power_failures;
-  return false;
-}
-
 void PowerManager::record_recharge(double now_s, double duration_s,
                                    double harvested_j) {
   if (!trace_on_) {

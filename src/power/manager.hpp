@@ -32,14 +32,6 @@ struct PowerStats {
   double off_time_s = 0.0;
 };
 
-/// How the simulation advances time. kStepping is the reference model:
-/// every chargeable event runs the full consume() path (virtual supply
-/// query + fault-hook call). kScheduler is the discrete-event mode: the
-/// device charges through hook-quiet, constant-supply windows with
-/// consume_quiet() and settles hook ordinals in bulk — bit-identical to
-/// stepping by construction, just cheaper per event.
-enum class SimMode : std::uint8_t { kStepping, kScheduler };
-
 class PowerManager {
  public:
   PowerManager(std::unique_ptr<PowerSupply> supply, BufferConfig buffer);
@@ -50,16 +42,6 @@ class PowerManager {
   /// `point` names the operation kind for the fault hook.
   [[nodiscard]] bool consume(double now_s, double duration_s, double energy_j,
                              FaultPoint point = FaultPoint::kOther);
-
-  /// Fast-path consume for the discrete-event scheduler: identical energy
-  /// arithmetic to consume(), minus the fault-hook call and telemetry.
-  /// Caller contract: the fault hook is quiet for this event (a granted
-  /// quiet window covers it), telemetry tracing is off, and `power_w`
-  /// equals supply().power_w(now) for the whole operation (a current
-  /// SupplySegment covers it). The skipped hook ordinal must be settled
-  /// later via FaultHook::skip_quiet_events.
-  [[nodiscard]] bool consume_quiet(double duration_s, double energy_j,
-                                   double power_w);
 
   /// Recharge from empty to the on-threshold starting at `now_s`.
   /// Returns the recharge duration in seconds. Throws if the supply
@@ -83,9 +65,6 @@ class PowerManager {
   /// Install a deterministic outage-injection hook (nullptr removes it).
   /// Non-owning; the hook must outlive the manager.
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
-
-  [[nodiscard]] FaultHook* fault_hook() const { return fault_hook_; }
-  [[nodiscard]] bool trace_on() const { return trace_on_; }
 
   /// Route brown-out / recharge telemetry to `sink` (nullptr restores the
   /// null sink). Non-owning; the sink must outlive the manager.

@@ -114,14 +114,14 @@ SupplySegment TraceSupply::segment(double time_s) const {
       std::min(static_cast<std::size_t>(t / period_s_),
                samples_w_.size() - 1);
   // End of the current sample in absolute time. fmod and the division
-  // above round, so hold back a guard band: an event starting inside it
-  // takes the exact slow path instead of trusting the cached power, which
-  // keeps the fast path bit-identical to per-event power_w() calls.
+  // above round, so hold back a guard band: a step starting inside it
+  // queries power_w() afresh instead of trusting the cached power, which
+  // keeps the cached path bit-identical to per-step power_w() calls.
   const double guard = period_s_ * 1e-9;
   const double sample_end =
       time_s + (static_cast<double>(index + 1) * period_s_ - t) - guard;
   if (sample_end <= time_s) {
-    return {samples_w_[index], time_s};  // inside the guard band: slow path
+    return {samples_w_[index], time_s};  // inside the guard band: no cache
   }
   return {samples_w_[index], sample_end};
 }
@@ -200,13 +200,13 @@ SupplySegment PhasedSupply::segment(double time_s) const {
   }
   const std::size_t index = phase_index(t);
   // Hold back a guard band before the phase boundary: fmod and the
-  // cumulative sums round, so an event starting inside the band takes the
-  // exact slow path instead of trusting the cached power — the same
+  // cumulative sums round, so a step starting inside the band queries
+  // power_w() afresh instead of trusting the cached power — the same
   // pattern (and bit-exactness argument) as TraceSupply::segment.
   const double guard = cycle_s_ * 1e-9;
   const double phase_end = time_s + (ends_[index] - t) - guard;
   if (phase_end <= time_s) {
-    return {phases_[index].power_w, time_s};  // in the guard band: slow path
+    return {phases_[index].power_w, time_s};  // in the guard band: no cache
   }
   return {phases_[index].power_w, phase_end};
 }

@@ -12,11 +12,11 @@
 namespace iprune::power {
 
 /// A window of constant harvest: power_w(t) == power_w for every t in
-/// [query time, end_s). The discrete-event scheduler uses segments to skip
-/// the per-event virtual power_w() call: within a segment the cached value
-/// is exact, so fast-path accounting stays bit-identical to the stepping
-/// oracle. A zero-length segment (end_s == query time) means "no constant
-/// window known" and forces the exact slow path.
+/// [query time, end_s). PowerManager::recharge uses segments to skip the
+/// per-step virtual power_w() call: within a segment the cached value is
+/// exact, so the integrated harvest stays bit-identical to per-step
+/// queries. A zero-length segment (end_s == query time) means "no
+/// constant window known" and forces a fresh query at the next step.
 struct SupplySegment {
   double power_w = 0.0;
   double end_s = 0.0;
@@ -30,7 +30,7 @@ class PowerSupply {
 
   /// Constant-power window starting at `time_s`. The default — a
   /// zero-length segment — is always correct and merely disables the
-  /// scheduler fast path for supplies that do not override it.
+  /// cached recharge stepping for supplies that do not override it.
   [[nodiscard]] virtual SupplySegment segment(double time_s) const {
     return {power_w(time_s), time_s};
   }
@@ -74,8 +74,8 @@ class TraceSupply final : public PowerSupply {
 /// Cyclic piecewise-constant supply built from explicit phases. The
 /// shared implementation behind the analytic harvest models below: each
 /// phase holds one power level for a duration, the whole list repeats.
-/// power_w() and segment() use the same phase lookup, so the scheduler's
-/// cached segment power is bit-identical to per-event power_w() calls
+/// power_w() and segment() use the same phase lookup, so recharge's
+/// cached segment power is bit-identical to per-step power_w() calls
 /// (segment ends hold back a tiny guard band against fmod rounding, the
 /// same trick TraceSupply uses).
 class PhasedSupply : public PowerSupply {

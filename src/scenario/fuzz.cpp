@@ -159,17 +159,8 @@ fleet::FleetSpec random_fleet_spec(util::Rng& rng,
   if (rng.bernoulli(0.3)) {
     spec.deadline_s = rng.uniform(0.01, 0.5);
   }
-  switch (rng.uniform_index(3)) {
-    case 0:
-      spec.sim = fleet::SimKind::kStepping;
-      break;
-    case 1:
-      spec.sim = fleet::SimKind::kScheduler;
-      break;
-    default:
-      spec.sim = fleet::SimKind::kBatched;
-      break;
-  }
+  spec.sim = rng.bernoulli(0.5) ? fleet::SimKind::kBatched
+                                : fleet::SimKind::kStepping;
   const std::size_t n = 1 + rng.uniform_index(config.max_groups);
   for (std::size_t i = 0; i < n; ++i) {
     spec.groups.push_back(random_group(rng, i, config));
@@ -193,9 +184,6 @@ Scenario random_scenario(const FuzzConfig& config, std::uint64_t index) {
   if (rng.bernoulli(0.2)) {
     // Explicit sim subset — always anchored on the stepping oracle.
     scenario.sims = {fleet::SimKind::kStepping};
-    if (rng.bernoulli(0.5)) {
-      scenario.sims.push_back(fleet::SimKind::kScheduler);
-    }
     if (rng.bernoulli(0.5)) {
       scenario.sims.push_back(fleet::SimKind::kBatched);
     }

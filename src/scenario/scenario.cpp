@@ -209,8 +209,7 @@ std::vector<fleet::SimKind> Scenario::effective_sims() const {
   if (!sims.empty()) {
     return sims;
   }
-  return {fleet::SimKind::kStepping, fleet::SimKind::kScheduler,
-          fleet::SimKind::kBatched};
+  return {fleet::SimKind::kStepping, fleet::SimKind::kBatched};
 }
 
 std::vector<Check> Scenario::effective_checks() const {

@@ -30,7 +30,7 @@ namespace iprune::scenario {
 
 /// One invariant the scenario runner asserts over the simulation.
 enum class Check : std::uint8_t {
-  kSimDigest,        // stepping/scheduler/batched fleet digests agree
+  kSimDigest,        // stepping/batched fleet digests agree
   kLaneDeterminism,  // 1-lane and multi-lane digests agree
   kConsistency,      // ConsistencyChecker passes each group's schedule
   kIntegrity,        // IntegrityChecker: no silent escape / crash
@@ -54,7 +54,7 @@ struct Scenario {
   double deadline_s = 0.0;
   std::uint64_t event_budget = kDefaultEventBudget;
   bool telemetry = false;
-  /// Simulation strategies to run and cross-check; empty = all three.
+  /// Simulation strategies to run and cross-check; empty = both.
   std::vector<fleet::SimKind> sims;
   /// Checks to assert; empty = auto-derived from the fleet composition
   /// (see effective_checks()).

@@ -27,7 +27,15 @@ void EvalCache::insert(const EvalKey& key, const EvalValue& value) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = entries_.emplace(key, value);
   if (!inserted) {
-    return;  // racing duplicate: keep the first result (they are identical)
+    // Racing duplicate: another lane evaluated the same key between this
+    // caller's missed lookup and now. Keep the first result (they are
+    // identical) and recount that miss as a hit, so the counters read as
+    // in a serial run whatever the lane timing.
+    if (stats_.misses > 0) {
+      --stats_.misses;
+      ++stats_.hits;
+    }
+    return;
   }
   ++stats_.inserts;
   if (vault_ != nullptr) {

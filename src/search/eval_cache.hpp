@@ -71,7 +71,8 @@ class EvalCache {
   [[nodiscard]] std::optional<EvalValue> lookup(const EvalKey& key);
 
   /// Insert (first writer wins on a racing duplicate) and write through to
-  /// the vault if attached.
+  /// the vault if attached. A racing duplicate's preceding miss is
+  /// recounted as a hit: every key counts one miss, however lanes race.
   void insert(const EvalKey& key, const EvalValue& value);
 
   [[nodiscard]] CacheStats stats() const;

@@ -1,8 +1,8 @@
 // The backend= field through the fleet stack: spec round-trip, pinned
 // validation messages, resolve() propagation, functional-device runs (no
 // power model), batched-cohort eligibility, and the sim-strategy
-// regression — scheduler mode must be bit-identical to stepping for
-// functional groups, where charge scheduling is a no-op by construction.
+// regression — sim=batched must be bit-identical to stepping for
+// functional groups, which always fall back to per-device runs.
 
 #include <gtest/gtest.h>
 
@@ -164,10 +164,10 @@ TEST(FleetBackend, BatchedEligibilityExcludesFunctionalOnly) {
   }
 }
 
-// Satellite regression: SimKind::kScheduler (and kBatched) exist to
-// accelerate the *cycle-class* power timeline; for a functional group
-// they must be observationally identical to the stepping oracle.
-TEST(FleetBackend, SchedulerModeBitIdenticalToSteppingForFunctional) {
+// SimKind::kBatched exists to accelerate the *cycle-class* power
+// timeline; for a functional group (never cohort-eligible) it must be
+// observationally identical to the stepping oracle.
+TEST(FleetBackend, BatchedBitIdenticalToSteppingForFunctional) {
   FleetSpec spec;
   spec.inferences = 2;
   DeviceGroup functional = base_group();
@@ -180,21 +180,17 @@ TEST(FleetBackend, SchedulerModeBitIdenticalToSteppingForFunctional) {
 
   FleetSpec stepping = spec;
   stepping.sim = SimKind::kStepping;
-  FleetSpec scheduler = spec;
-  scheduler.sim = SimKind::kScheduler;
   FleetSpec batched = spec;
   batched.sim = SimKind::kBatched;
 
   const FleetResult ref = FleetOrchestrator(stepping).run();
-  const FleetResult sched = FleetOrchestrator(scheduler).run();
   const FleetResult bat = FleetOrchestrator(batched).run();
   ASSERT_EQ(ref.total.completed, 4u);
-  EXPECT_EQ(sched.checksum, ref.checksum);
   EXPECT_EQ(bat.checksum, ref.checksum);
 }
 
 // A mixed fleet — cycle, custom, and functional groups side by side —
-// runs to completion under every sim strategy with identical checksums.
+// runs to completion under both sim strategies with identical checksums.
 TEST(FleetBackend, MixedBackendFleetIsSimStrategyInvariant) {
   FleetSpec spec;
   spec.inferences = 1;
@@ -215,13 +211,9 @@ TEST(FleetBackend, MixedBackendFleetIsSimStrategyInvariant) {
   const FleetResult ref = FleetOrchestrator(stepping).run();
   EXPECT_EQ(ref.total.completed, ref.total.devices);
 
-  for (const SimKind sim : {SimKind::kScheduler, SimKind::kBatched}) {
-    FleetSpec other = spec;
-    other.sim = sim;
-    const FleetResult result = FleetOrchestrator(other).run();
-    EXPECT_EQ(result.checksum, ref.checksum)
-        << sim_kind_name(sim);
-  }
+  FleetSpec batched = spec;
+  batched.sim = SimKind::kBatched;
+  EXPECT_EQ(FleetOrchestrator(batched).run().checksum, ref.checksum);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Batched lockstep fleet mode: for every sim kind (stepping oracle,
-// event-driven scheduler, batched cohorts) a fleet produces bit-identical
-// results — per-device and fleet-wide — across lane counts. The batched
-// mode is pure wall-clock optimisation; these tests are its correctness
-// gate.
+// Batched lockstep fleet mode: under both sim kinds (stepping oracle,
+// batched cohorts) a fleet produces bit-identical results — per-device and
+// fleet-wide — across lane counts. The batched mode is pure wall-clock
+// optimisation; these tests are its correctness gate.
 
 #include <gtest/gtest.h>
 
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fleet/batched_sim.hpp"
@@ -80,13 +81,28 @@ TEST(FleetBatched, SimKindRoundTripsThroughSpecText) {
   spec.sim = SimKind::kBatched;
   EXPECT_NE(spec.describe().find(" sim=batched"), std::string::npos);
   EXPECT_EQ(FleetSpec::parse(spec.describe()), spec);
-  spec.sim = SimKind::kScheduler;
-  EXPECT_EQ(FleetSpec::parse(spec.describe()), spec);
 
   EXPECT_THROW(parse_sim_kind("warp"), std::invalid_argument);
-  for (const SimKind kind :
-       {SimKind::kStepping, SimKind::kScheduler, SimKind::kBatched}) {
+  for (const SimKind kind : {SimKind::kStepping, SimKind::kBatched}) {
     EXPECT_EQ(parse_sim_kind(sim_kind_name(kind)), kind);
+  }
+}
+
+// There is no `scheduler` sim kind: a spec naming it fails through the
+// ordinary unknown-sim diagnostic (no alias).
+TEST(FleetBatched, SchedulerSimIsUnknown) {
+  FleetSpec spec = FleetSpec::example(8);
+  spec.sim = SimKind::kBatched;
+  std::string text = spec.describe();
+  const std::string batched = "sim=batched";
+  const std::size_t at = text.find(batched);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, batched.size(), "sim=scheduler");
+  try {
+    (void)FleetSpec::parse(text);
+    FAIL() << "sim=scheduler parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "fleet spec: unknown sim 'scheduler'");
   }
 }
 
@@ -97,19 +113,17 @@ TEST(FleetBatched, PerDeviceResultsIdenticalAcrossSimKinds) {
       .run(&serial, &stepping);
   ASSERT_EQ(stepping.devices.size(), 64u);
 
-  for (const SimKind sim : {SimKind::kScheduler, SimKind::kBatched}) {
-    CaptureGateway capture;
-    const FleetResult result =
-        FleetOrchestrator(test_spec(sim)).run(&serial, &capture);
-    ASSERT_EQ(capture.devices.size(), stepping.devices.size());
-    for (std::size_t i = 0; i < capture.devices.size(); ++i) {
-      expect_identical(capture.devices[i], stepping.devices[i]);
-    }
-    // And the digest, which CI compares across whole runs.
-    const FleetResult oracle =
-        FleetOrchestrator(test_spec(SimKind::kStepping)).run(&serial);
-    EXPECT_EQ(result.checksum, oracle.checksum);
+  CaptureGateway batched;
+  const FleetResult result =
+      FleetOrchestrator(test_spec(SimKind::kBatched)).run(&serial, &batched);
+  ASSERT_EQ(batched.devices.size(), stepping.devices.size());
+  for (std::size_t i = 0; i < batched.devices.size(); ++i) {
+    expect_identical(batched.devices[i], stepping.devices[i]);
   }
+  // And the digest, which CI compares across whole runs.
+  const FleetResult oracle =
+      FleetOrchestrator(test_spec(SimKind::kStepping)).run(&serial);
+  EXPECT_EQ(result.checksum, oracle.checksum);
 }
 
 TEST(FleetBatched, ChecksumStableAcrossLaneCounts) {

@@ -13,6 +13,7 @@
 #include "fleet/spec.hpp"
 #include "power/supply.hpp"
 #include "scenario/scenario.hpp"
+#include "support/test_dir.hpp"
 
 namespace iprune::fleet {
 namespace {
@@ -85,11 +86,7 @@ TEST(TraceProfile, ParseRejectsMissingPieces) {
 struct TraceProfileFiles : ::testing::Test {
   std::string dir;
 
-  void SetUp() override {
-    dir = ::testing::TempDir() + "/trace_profile_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
+  void SetUp() override { dir = test::unique_test_dir(); }
   void TearDown() override { fs::remove_all(dir); }
 
   std::string write_trace() {

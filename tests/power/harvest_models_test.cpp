@@ -1,10 +1,10 @@
-// Analytic harvest models (RF, kinetic, indoor-solar, diurnal). The
-// scheduler's fast path caches segment() and skips per-event power_w()
+// Analytic harvest models (RF, kinetic, indoor-solar, diurnal).
+// PowerManager::recharge caches segment() and skips per-step power_w()
 // calls, so the contract under test is bit-exactness: within a segment,
 // every power_w(t) equals the cached segment power to the last ulp, and
 // the step-by-step oracle (dense power_w sampling) integrates to the same
-// energy as walking segments. Any epsilon here would split the stepping
-// and scheduler sims' digests.
+// energy as walking segments. Any epsilon here would change recharge
+// times, and with them every fleet digest on these supplies.
 
 #include <gtest/gtest.h>
 
@@ -50,7 +50,7 @@ void expect_cycle_energy(const PhasedSupply& supply, double expected_j) {
 }
 
 /// Inside the guard band before a phase boundary, segment() degrades to a
-/// zero-length window (end_s == query time) — "take the slow path" — and
+/// zero-length window (end_s == query time) — "query afresh" — and
 /// never stretches the cached power across the boundary.
 void expect_guard_band_degrades(const PhasedSupply& supply) {
   const double guard = supply.cycle_s() * 1e-9;

@@ -50,7 +50,7 @@ TEST(ScenarioFuzz, ShrinkerReachesAMinimalDocument) {
   failing.inferences = 2;
   failing.batch = 64;
   failing.telemetry = true;
-  failing.sims = {fleet::SimKind::kStepping, fleet::SimKind::kScheduler};
+  failing.sims = {fleet::SimKind::kStepping, fleet::SimKind::kBatched};
   fleet::DeviceGroup bystander;
   bystander.name = "bystander";
   bystander.count = 3;

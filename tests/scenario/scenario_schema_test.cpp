@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "scenario/scenario.hpp"
 
@@ -123,13 +124,18 @@ TEST(ScenarioSchema, LeafDslErrorsPropagateVerbatim) {
                 "OutageSchedule::parse: period must be >= 1 in \"every:0\"");
 }
 
-TEST(ScenarioSchema, EffectiveSimsDefaultsToAllThree) {
+TEST(ScenarioSchema, EffectiveSimsDefaultsToSteppingAndBatched) {
   const Scenario sc = Scenario::parse(minimal());
-  const auto sims = sc.effective_sims();
-  ASSERT_EQ(sims.size(), 3u);
-  EXPECT_EQ(sims[0], fleet::SimKind::kStepping);
-  EXPECT_EQ(sims[1], fleet::SimKind::kScheduler);
-  EXPECT_EQ(sims[2], fleet::SimKind::kBatched);
+  const std::vector<fleet::SimKind> expected = {fleet::SimKind::kStepping,
+                                                fleet::SimKind::kBatched};
+  EXPECT_EQ(sc.effective_sims(), expected);
+}
+
+// There is no `scheduler` sim kind: a document naming it fails through
+// the ordinary unknown-sim diagnostic (no alias).
+TEST(ScenarioSchema, RejectsSchedulerSim) {
+  expect_reject(minimal(", \"sims\": [\"scheduler\"]"),
+                "scenario: unknown sim \"scheduler\"");
 }
 
 TEST(ScenarioSchema, EffectiveChecksFollowTheFleetComposition) {
@@ -175,11 +181,11 @@ TEST(ScenarioSchema, IntegrityDomainExcludesBitErrorsAndAutoTorn) {
 TEST(ScenarioSchema, ToFleetCarriesEverySetting) {
   Scenario sc = Scenario::parse(minimal(
       ", \"seed\": 7, \"inferences\": 3, \"batch\": 64", ", \"count\": 5"));
-  const fleet::FleetSpec spec = sc.to_fleet(fleet::SimKind::kScheduler);
+  const fleet::FleetSpec spec = sc.to_fleet(fleet::SimKind::kBatched);
   EXPECT_EQ(spec.seed, 7u);
   EXPECT_EQ(spec.inferences, 3u);
   EXPECT_EQ(spec.batch, 64u);
-  EXPECT_EQ(spec.sim, fleet::SimKind::kScheduler);
+  EXPECT_EQ(spec.sim, fleet::SimKind::kBatched);
   ASSERT_EQ(spec.groups.size(), 1u);
   EXPECT_EQ(spec.groups[0].count, 5u);
 }

@@ -9,6 +9,7 @@
 #include "nn/dense.hpp"
 #include "search/eval_key.hpp"
 #include "search/vault.hpp"
+#include "support/test_dir.hpp"
 #include "util/rng.hpp"
 
 namespace iprune::search {
@@ -153,9 +154,7 @@ TEST(EvalCache, DuplicateInsertKeepsFirstValue) {
 }
 
 TEST(EvalCache, WriteThroughVaultSurvivesReopen) {
-  const std::string dir = ::testing::TempDir() + "/eval_cache_reopen";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const std::string dir = test::unique_test_dir();
   const std::string path = dir + "/vault.bin";
 
   {

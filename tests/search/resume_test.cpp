@@ -20,6 +20,7 @@
 #include "nn/dense.hpp"
 #include "search/run.hpp"
 #include "search/vault.hpp"
+#include "support/test_dir.hpp"
 #include "util/rng.hpp"
 
 namespace iprune {
@@ -239,11 +240,7 @@ TEST(ArchResume, InterceptCanReplayFromRecordedVerdicts) {
 struct RunSearchResume : ::testing::Test {
   std::string dir;
 
-  void SetUp() override {
-    dir = ::testing::TempDir() + "/run_search_resume";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
+  void SetUp() override { dir = test::unique_test_dir(); }
   void TearDown() override { fs::remove_all(dir); }
 
   static search::RunConfig small_config() {

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "support/test_dir.hpp"
+
 namespace iprune::search {
 namespace {
 
@@ -36,11 +38,7 @@ EvalValue value_of(double accuracy, std::uint64_t aux) {
 struct VaultTest : ::testing::Test {
   std::string dir;
 
-  void SetUp() override {
-    dir = ::testing::TempDir() + "/vault_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
+  void SetUp() override { dir = test::unique_test_dir(); }
   void TearDown() override { fs::remove_all(dir); }
 
   std::string vault_path() const { return dir + "/cache.vault"; }

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string>
 
+#include "support/test_dir.hpp"
+
 namespace iprune::util {
 namespace {
 
@@ -22,11 +24,7 @@ std::string slurp(const std::string& path) {
 struct AtomicWriteTest : ::testing::Test {
   std::string dir;
 
-  void SetUp() override {
-    dir = ::testing::TempDir() + "/atomic_write_test";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
+  void SetUp() override { dir = test::unique_test_dir(); }
   void TearDown() override { fs::remove_all(dir); }
 };
 
