@@ -14,6 +14,10 @@ struct GeneratorCase {
   std::size_t classes;
 };
 
+// Without a printer gtest lists the case as its raw bytes, pointers
+// included, so the test names would change with every process.
+void PrintTo(const GeneratorCase& c, std::ostream* os) { *os << c.name; }
+
 class SyntheticGenerators : public ::testing::TestWithParam<GeneratorCase> {};
 
 TEST_P(SyntheticGenerators, ShapesAndLabels) {
