@@ -152,8 +152,14 @@ class Nvm {
   }
   [[noreturn]] void out_of_range(Address addr, std::size_t bytes) const;
 
+  // Zero-length accesses are bounds-checked and then touch nothing: an
+  // empty span may carry a null data pointer, which memcpy must not see
+  // (and the corruption model draws nothing for zero bytes anyway).
   void store(Address addr, std::span<const std::uint8_t> bytes) {
     check(addr, bytes.size());
+    if (bytes.empty()) {
+      return;
+    }
     std::uint8_t* cell = storage_.data() + addr;
     std::memcpy(cell, bytes.data(), bytes.size());
     if (corruption_ != nullptr) {
@@ -163,6 +169,9 @@ class Nvm {
 
   void load(Address addr, std::span<std::uint8_t> bytes) const {
     check(addr, bytes.size());
+    if (bytes.empty()) {
+      return;
+    }
     std::memcpy(bytes.data(), storage_.data() + addr, bytes.size());
     if (corruption_ != nullptr) {
       corruption_->corrupt_read(addr, bytes);

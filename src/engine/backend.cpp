@@ -113,13 +113,18 @@ CycleBackend::CycleBackend(device::Msp430Device& device)
 CycleBackend::CycleBackend(BackendConfig spec,
                            std::unique_ptr<power::PowerSupply> supply,
                            power::BufferConfig buffer)
-    : spec_(std::move(spec)),
-      owned_(std::make_unique<device::Msp430Device>(
-          spec_.device,
-          supply != nullptr ? std::move(supply)
-                            : power::SupplyPresets::continuous(),
-          buffer)),
-      device_(owned_.get()) {}
+    : spec_(std::move(spec)) {
+  if (spec_.kind == BackendKind::kFunctional) {
+    throw std::invalid_argument(
+        "CycleBackend: the functional preset has no device timeline");
+  }
+  owned_ = std::make_unique<device::Msp430Device>(
+      spec_.device,
+      supply != nullptr ? std::move(supply)
+                        : power::SupplyPresets::continuous(),
+      buffer);
+  device_ = owned_.get();
+}
 
 FunctionalBackend::FunctionalBackend(BackendConfig spec)
     : spec_(std::move(spec)), nvm_(spec_.device.memory.nvm_bytes) {}
@@ -156,13 +161,8 @@ bool FunctionalBackend::pipelined_commit(const device::WriteBatch& batch,
 std::unique_ptr<Backend> make_backend(const BackendConfig& spec,
                                       std::unique_ptr<power::PowerSupply> supply,
                                       power::BufferConfig buffer) {
-  switch (spec.kind) {
-    case BackendKind::kFunctional:
-      return std::make_unique<FunctionalBackend>(spec);
-    case BackendKind::kCustom:
-      return std::make_unique<CustomBackend>(spec, std::move(supply), buffer);
-    case BackendKind::kCycle:
-      break;
+  if (spec.kind == BackendKind::kFunctional) {
+    return std::make_unique<FunctionalBackend>(spec);
   }
   return std::make_unique<CycleBackend>(spec, std::move(supply), buffer);
 }

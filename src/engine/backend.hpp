@@ -4,19 +4,21 @@
 // primitives below; a backend decides what each primitive costs (simulated
 // time, energy, brown-out risk) and how staged NVM commits land.
 //
-// Three implementations:
+// Two implementations:
 //  - CycleBackend: the cycle-approximate MSP430FR5994 + FRAM oracle. A
 //    thin forwarding shim over device::Msp430Device — behavior-preserving
 //    by construction, pinned by golden digests (tests/engine/
-//    backend_golden_test.cpp).
+//    backend_golden_test.cpp). The memory-technology presets (ReRAM,
+//    STT-MRAM; BackendKind::kCustom) are the same executor priced by
+//    substituted VM/NVM cost constants: data, not another type.
 //  - FunctionalBackend: value semantics only. Every primitive succeeds
 //    instantly (no clock, no energy ledger, no power failures); staged
 //    commits land whole. Logits are bit-identical to the cycle backend
 //    (tests/engine/backend_equivalence_test.cpp) at a fraction of the
 //    cost — built for search inner loops and fleet scale.
-//  - CustomBackend: the cycle executor with substituted VM/NVM cost
-//    constants (ReRAM / STT-MRAM presets), turning the paper's cost-ratio
-//    sensitivity claim into a first-class experiment axis.
+//
+// A lockstep cohort (engine.hpp) drives only its leader through this
+// seam; the followers touch nothing but their NVM images.
 //
 // docs/backends.md has the interface contract, the equivalence
 // guarantees, and a checklist for adding a backend.
@@ -141,18 +143,19 @@ class Backend {
 
 /// The cycle-approximate oracle: forwards every primitive to an
 /// Msp430Device. Constructible as a non-owning view over an existing
-/// device (the engine's legacy constructor path, and how fleet code keeps
-/// driving the device directly for batched cohorts) or as an owning
-/// backend built from a supply + buffer.
-class CycleBackend : public Backend {
+/// device (the engine's Msp430Device constructors, cohort leaders
+/// included) or as an owning backend built from a supply + buffer.
+class CycleBackend final : public Backend {
  public:
   /// Non-owning view; `device` must outlive the backend.
   explicit CycleBackend(device::Msp430Device& device);
-  /// Owning: builds the device from `spec.device` cost constants.
+  /// Owning: builds the device from `spec.device` cost constants. `spec`
+  /// is a cycle or memory-technology (kCustom) preset; a functional spec
+  /// throws std::invalid_argument.
   CycleBackend(BackendConfig spec, std::unique_ptr<power::PowerSupply> supply,
                power::BufferConfig buffer = {});
 
-  [[nodiscard]] BackendKind kind() const override { return BackendKind::kCycle; }
+  [[nodiscard]] BackendKind kind() const override { return spec_.kind; }
   [[nodiscard]] const BackendConfig& spec() const override { return spec_; }
   [[nodiscard]] const device::DeviceConfig& config() const override {
     return device_->config();
@@ -220,20 +223,7 @@ class CycleBackend : public Backend {
  private:
   BackendConfig spec_;
   std::unique_ptr<device::Msp430Device> owned_;
-  device::Msp430Device* device_;  // == owned_.get() when owning
-};
-
-/// Cycle executor with substituted memory-technology cost constants.
-/// Identical charge/brown-out semantics to CycleBackend — only the
-/// DeviceConfig numbers (and the kind/preset label) differ.
-class CustomBackend final : public CycleBackend {
- public:
-  CustomBackend(BackendConfig spec, std::unique_ptr<power::PowerSupply> supply,
-                power::BufferConfig buffer = {})
-      : CycleBackend(std::move(spec), std::move(supply), buffer) {}
-  [[nodiscard]] BackendKind kind() const override {
-    return BackendKind::kCustom;
-  }
+  device::Msp430Device* device_ = nullptr;  // == owned_.get() when owning
 };
 
 /// Values only. Owns a bare Nvm sized by `spec.device.memory`; every
@@ -304,9 +294,10 @@ class FunctionalBackend final : public Backend {
   std::size_t last_staged_kept_ = 0;
 };
 
-/// Build a live backend for `spec`. `supply`/`buffer` feed the power model
-/// of cycle/custom backends and are ignored by the functional backend (a
-/// null supply defaults to continuous power).
+/// Build a live backend for `spec`: a FunctionalBackend for the functional
+/// preset, a CycleBackend for every other. `supply`/`buffer` feed the
+/// cycle backend's power model and are ignored by the functional backend
+/// (a null supply defaults to continuous power).
 [[nodiscard]] std::unique_ptr<Backend> make_backend(
     const BackendConfig& spec,
     std::unique_ptr<power::PowerSupply> supply = nullptr,

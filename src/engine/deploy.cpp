@@ -121,12 +121,9 @@ DeployedModel::DeployedModel(nn::Graph& graph, const EngineConfig& config,
     gd->multiplier = psum_unit / nd.scale;
 
     // Write the arrays into NVM (sealing each region when configured).
-    {
-      std::vector<std::uint8_t> bytes(gd->bsr.values().size() *
-                                      sizeof(std::int16_t));
-      std::memcpy(bytes.data(), gd->bsr.values().data(), bytes.size());
-      gd->values_addr = write_region(ln.name + ".bsr_values", nvm, bytes);
-    }
+    // A fully pruned layer keeps no blocks: its value region is empty.
+    gd->values_addr = write_region(ln.name + ".bsr_values", nvm,
+                                   pack_array<std::int16_t>(gd->bsr.values()));
     gd->colidx_addr = write_region(
         ln.name + ".bsr_colidx", nvm,
         pack_array<std::int16_t>(gd->bsr.col_idx()));

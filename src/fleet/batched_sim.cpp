@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "device/config.hpp"
-#include "engine/batched.hpp"
+#include "engine/engine.hpp"
 #include "engine/integrity.hpp"
 #include "fault/testbed.hpp"
 #include "util/hash.hpp"
@@ -85,8 +85,8 @@ std::vector<DeviceResult> run_cohort(std::span<const DeviceSpec> specs) {
     stacks.emplace_back(spec);
   }
   for (std::size_t m = 1; m < stacks.size(); ++m) {
-    if (!engine::BatchedEngine::lockstep_compatible(*stacks[0].model,
-                                                    *stacks[m].model)) {
+    if (!engine::IntermittentEngine::lockstep_compatible(*stacks[0].model,
+                                                         *stacks[m].model)) {
       return run_standalone(specs);
     }
   }
@@ -100,7 +100,7 @@ std::vector<DeviceResult> run_cohort(std::span<const DeviceSpec> specs) {
                                 : fault::FaultInjector::kNoBudget);
   stacks[0].device->set_fault_hook(&injector);
 
-  std::vector<engine::BatchedMember> members;
+  std::vector<engine::CohortMember> members;
   members.reserve(stacks.size());
   for (MemberStack& stack : stacks) {
     members.push_back({stack.model.get(), stack.device.get()});
@@ -113,9 +113,10 @@ std::vector<DeviceResult> run_cohort(std::span<const DeviceSpec> specs) {
   }
 
   device::Msp430Device& leader = *stacks[0].device;
-  std::unique_ptr<engine::BatchedEngine> engine;
+  std::unique_ptr<engine::IntermittentEngine> engine;
   try {
-    engine = std::make_unique<engine::BatchedEngine>(std::move(members));
+    engine = std::make_unique<engine::IntermittentEngine>(
+        std::span<const engine::CohortMember>(members));
   } catch (const std::invalid_argument&) {
     // Outside the lockstep envelope after all — simulate standalone.
     leader.set_fault_hook(nullptr);
@@ -137,7 +138,7 @@ std::vector<DeviceResult> run_cohort(std::span<const DeviceSpec> specs) {
       const float scale = stacks[m].model->input_scale();
       const float* base = stacks[m].samples.data();
       for (std::size_t i = 0; i < rounds; ++i) {
-        quantized.push_back(engine::BatchedEngine::quantize_input(
+        quantized.push_back(engine::IntermittentEngine::quantize_input(
             {base + i * stride, stride}, scale));
       }
     }

@@ -6,11 +6,11 @@
 // engine's control flow never branches on data values, so every member
 // performs the same chargeable events at the same instants with the same
 // fault ordinals. run_cohort() builds all member stacks, then advances
-// them through engine::BatchedEngine — member 0's device carries the real
-// charge timeline, the followers do only value work. Results are
-// bit-identical to simulating each member standalone (the fleet batched
-// differential test pins this); anything that falls outside the lockstep
-// envelope silently falls back to per-device simulation.
+// them through one engine::IntermittentEngine cohort — member 0's device
+// carries the real charge timeline, the followers do only value work.
+// Results are bit-identical to simulating each member standalone (the
+// fleet batched differential test pins this); anything that falls outside
+// the lockstep envelope silently falls back to per-device simulation.
 
 #include <span>
 #include <vector>

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <utility>
 
 namespace iprune::runtime {
 
@@ -172,15 +173,23 @@ void ThreadPool::parallel_for(std::size_t count,
   wake_.notify_all();
 
   run_loop(*loop);
-  std::unique_lock<std::mutex> lock(loop->mutex);
-  loop->done.wait(lock, [&] {
-    return loop->active == 0 && (loop->next >= loop->count || loop->has_error);
-  });
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(loop->mutex);
+    loop->done.wait(lock, [&] {
+      return loop->active == 0 &&
+             (loop->next >= loop->count || loop->has_error);
+    });
+    // A helper that wakes late may drop the last reference to the loop
+    // state; taking the error out under the lock keeps the exception
+    // object owned by this thread alone while the caller reads it.
+    error = std::move(loop->error);
+  }
   // `body` outlives every claimed index from here on: helper tasks that
   // wake late see next >= count (or has_error) and exit without touching
   // it; the shared_ptr keeps the loop state itself alive for them.
-  if (loop->has_error) {
-    std::rethrow_exception(loop->error);
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -77,6 +77,11 @@ TEST(MakeBackend, CustomBackendCarriesSubstitutedConstants) {
   EXPECT_NE(backend->power(), nullptr);
 }
 
+TEST(CycleBackend, RejectsTheFunctionalSpec) {
+  EXPECT_THROW(engine::CycleBackend(BackendConfig::functional(), nullptr),
+               std::invalid_argument);
+}
+
 TEST(FunctionalBackend, HasNoPowerModelAndNeverFails) {
   const std::unique_ptr<Backend> backend =
       engine::make_backend(BackendConfig::functional());

@@ -378,5 +378,101 @@ TEST_F(EngineCorrectness, ModelFitsNvmBudget) {
   EXPECT_GT(model.model_bytes(), 0u);
 }
 
+/// One cohort member: its own weights (graph seed), device and deployment.
+struct Member {
+  explicit Member(std::uint64_t seed, const EngineConfig& config,
+                  double power_w)
+      : rng(seed),
+        graph(make_test_graph(rng)),
+        device(make_device(power_w)),
+        model(graph, config, device, make_input_batch(rng, 8)) {}
+
+  util::Rng rng;
+  nn::Graph graph;
+  device::Msp430Device device;
+  engine::DeployedModel model;
+};
+
+// A cohort runs through the one engine: under brown-outs and in every
+// preservation mode, each member's logits and the shared timeline equal
+// that member's standalone run.
+TEST(EngineCohort, MembersMatchTheirStandaloneRuns) {
+  for (const PreservationMode mode :
+       {PreservationMode::kImmediate, PreservationMode::kTaskAtomic,
+        PreservationMode::kAccumulateInVm}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    EngineConfig config;
+    config.mode = mode;
+    const double power_w = mode == PreservationMode::kAccumulateInVm
+                               ? power::SupplyPresets::kContinuousW
+                               : 1.0e-3;
+    std::vector<std::unique_ptr<Member>> cohort;
+    std::vector<std::unique_ptr<Member>> alone;
+    std::vector<engine::CohortMember> members;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      cohort.push_back(std::make_unique<Member>(seed, config, power_w));
+      alone.push_back(std::make_unique<Member>(seed, config, power_w));
+      members.push_back({&cohort.back()->model, &cohort.back()->device});
+    }
+    engine::IntermittentEngine engine(members);
+
+    util::Rng sample_rng(7);
+    const nn::Tensor batch = make_input_batch(sample_rng, 3);
+    std::vector<std::vector<std::int16_t>> quantized;
+    for (std::size_t m = 0; m < 3; ++m) {
+      const nn::Tensor sample = slice_sample(batch, m);
+      quantized.push_back(engine::IntermittentEngine::quantize_input(
+          {sample.data(), sample.numel()},
+          cohort[m]->model.input_scale()));
+    }
+    const std::vector<std::span<const std::int16_t>> inputs(
+        quantized.begin(), quantized.end());
+    const std::vector<engine::InferenceResult> results =
+        engine.run_quantized(inputs);
+    ASSERT_EQ(results.size(), 3u);
+    for (std::size_t m = 0; m < 3; ++m) {
+      engine::IntermittentEngine standalone(alone[m]->model,
+                                            alone[m]->device);
+      const engine::InferenceResult expected =
+          standalone.run(slice_sample(batch, m));
+      ASSERT_TRUE(expected.stats.completed);
+      EXPECT_EQ(results[m].logits, expected.logits) << "member " << m;
+      EXPECT_EQ(results[m].stats.latency_s, expected.stats.latency_s);
+      EXPECT_EQ(results[m].stats.energy_j, expected.stats.energy_j);
+      EXPECT_EQ(results[m].stats.power_failures,
+                expected.stats.power_failures);
+      EXPECT_EQ(results[m].stats.reexecuted_jobs,
+                expected.stats.reexecuted_jobs);
+    }
+    if (mode != PreservationMode::kAccumulateInVm) {
+      EXPECT_GT(results[0].stats.power_failures, 0u);
+    }
+    EXPECT_NE(results[0].logits, results[1].logits);
+    // A cohort runs only through run_quantized.
+    EXPECT_THROW((void)engine.run(slice_sample(batch, 0)),
+                 std::invalid_argument);
+  }
+}
+
+// The lockstep envelope binds only cohorts of two or more: one traced
+// member is a standalone engine, two are rejected.
+TEST(EngineCohort, EnvelopeAppliesFromTwoMembers) {
+  EngineConfig config;
+  Member a(1, config, power::SupplyPresets::kContinuousW);
+  Member b(2, config, power::SupplyPresets::kContinuousW);
+  telemetry::RegistrySink sink;
+  a.device.set_trace_sink(&sink);
+  const engine::CohortMember one[] = {{&a.model, &a.device}};
+  EXPECT_NO_THROW(engine::IntermittentEngine{one});
+  const engine::CohortMember two[] = {{&a.model, &a.device},
+                                      {&b.model, &b.device}};
+  EXPECT_THROW(engine::IntermittentEngine{two}, std::invalid_argument);
+  a.device.set_trace_sink(nullptr);
+  EXPECT_NO_THROW(engine::IntermittentEngine{two});
+  EXPECT_THROW(engine::IntermittentEngine{
+                   std::span<const engine::CohortMember>{}},
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace iprune

@@ -175,6 +175,85 @@ TEST(FleetBatched, RunCohortMatchesStandaloneDevices) {
   EXPECT_NE(cohort[1].logits_checksum, cohort[2].logits_checksum);
 }
 
+/// One 3-device multipath group on mains power whose only outages are the
+/// fixed ones in `schedule` (integrity left on auto: clean NVM, so the
+/// group stays inside the lockstep envelope).
+std::vector<DeviceSpec> torn_group(engine::PreservationMode mode,
+                                   const std::string& schedule) {
+  FleetSpec spec;
+  spec.inferences = 2;
+  DeviceGroup group;
+  group.name = "torn";
+  group.count = 3;
+  group.model = ModelKind::kMultipath;
+  group.mode = mode;
+  group.power = PowerProfile::continuous();
+  group.schedule = fault::OutageSchedule::parse(schedule);
+  spec.groups = {group};
+  return spec.resolve();
+}
+
+bool same_outcome(const DeviceResult& a, const DeviceResult& b) {
+  return a.failed == b.failed && a.error == b.error &&
+         a.inferences_done == b.inferences_done &&
+         a.logits_checksum == b.logits_checksum;
+}
+
+// Torn commits pinned per preservation mode, no fuzzing involved. Every
+// fixed outage lands on a staged commit, and keep:N lands a prefix that
+// splits a data field at one commit and the progress counter at another,
+// so followers must replay the leader's surviving bytes mid-field.
+TEST(FleetBatched, TornCommitsReplayIdenticallyInCohorts) {
+  struct Case {
+    engine::PreservationMode mode;
+    const char* outages;
+    const char* torn;
+    /// Whether the tears change the outcome. kAccumulateInVm restarts the
+    /// inference after any outage, which rewrites every torn prefix.
+    bool visible;
+  };
+  const Case cases[] = {
+      // 495: 3 of the 4 bytes of a middle k-slot psum (branch3x3), which
+      // the retry then reads back; 800: the second inference's pool
+      // commit keeps 1 byte of its counter (crash-consistency failure).
+      {engine::PreservationMode::kImmediate, "fixed:495,800", ";torn=keep:3",
+       true},
+      // 523: the middle k-slot task commit keeps one psum and 3 bytes of
+      // the next; 1015: a pool-row task commit keeps 1 counter byte.
+      {engine::PreservationMode::kTaskAtomic, "fixed:523,1015", ";torn=keep:7",
+       true},
+      // 0: the input load splits its second sample; 3: the progress reset
+      // keeps 3 of its 4 bytes; 176: a concat copy chunk splits a field.
+      {engine::PreservationMode::kAccumulateInVm, "fixed:0,3,176",
+       ";torn=keep:3", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.outages);
+    const std::vector<DeviceSpec> torn =
+        torn_group(c.mode, std::string(c.outages) + c.torn);
+    const std::vector<DeviceSpec> untorn = torn_group(c.mode, c.outages);
+    for (const DeviceSpec& spec : torn) {
+      ASSERT_TRUE(batched_eligible(spec));
+    }
+    const std::vector<DeviceResult> cohort = run_cohort(torn);
+    ASSERT_EQ(cohort.size(), torn.size());
+    std::size_t differs = 0;
+    for (std::size_t m = 0; m < torn.size(); ++m) {
+      const DeviceResult standalone = run_device(torn[m]);
+      expect_identical(cohort[m], standalone);
+      EXPECT_GE(standalone.injected_outages, 2u);
+      if (!same_outcome(standalone, run_device(untorn[m]))) {
+        ++differs;
+      }
+    }
+    if (c.visible) {
+      EXPECT_GT(differs, 0u) << "no tear changed an outcome";
+    } else {
+      EXPECT_EQ(differs, 0u);
+    }
+  }
+}
+
 TEST(FleetBatched, IneligibleSpecsFallBackAndStillMatch) {
   // Random schedules are re-seeded per device: never lockstep-eligible.
   FleetSpec spec = test_spec(SimKind::kBatched);
