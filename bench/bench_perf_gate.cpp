@@ -1,7 +1,8 @@
 // bench_perf_gate: the perf-regression gate behind the CI `perf-gate` job.
 //
 // Runs a fixed set of median-of-k timed scenarios — the GEMM micro-kernels
-// (optimized and retained-naive reference), a Conv2d::infer, the BSR
+// (optimized and retained-naive reference), a Conv2d::infer, the
+// Conv2d::backward of fine-tuning (dense and 70% masked), the BSR
 // packing and Q15 quantization deploy steps, one end-to-end intermittent
 // inference, a sensitivity sweep, and the fleet simulator — and writes
 // BENCH_PERF.json (schema util::PerfReport). With --check the report is
@@ -160,6 +161,72 @@ PerfEntry time_conv_infer(std::size_t iters) {
   e.iters = iters;
   e.checksum = sum.value();
   e.median_ns = median_ns(iters, [&] { (void)conv.infer(ins); });
+  return e;
+}
+
+PerfEntry time_conv_backward(const std::string& name, double pruned,
+                             std::size_t iters) {
+  // HAR conv2 (Cout 32, K 80, S 64) at batch 32, the fine-tuning hot spot.
+  // Its upstream gradient comes from a ReLU and a 1x2 max-pool, as in the
+  // model, so most of it is zero. `pruned` is the share of 2x8 weight
+  // blocks the mask removes. The checksum covers dW, db and dInput.
+  namespace nn = iprune::nn;
+  iprune::util::Rng rng(11);
+  nn::Conv2d conv("gate_conv2",
+                  nn::Conv2dSpec{.in_channels = 16, .out_channels = 32,
+                                 .kernel_h = 1, .kernel_w = 5, .pad_w = 2},
+                  rng);
+  constexpr std::size_t kBlockRows = 2;
+  constexpr std::size_t kBlockCols = 8;
+  nn::Tensor& mask = conv.weight_mask();
+  const std::size_t block_cols = mask.dim(1) / kBlockCols;
+  const std::size_t blocks = mask.dim(0) / kBlockRows * block_cols;
+  const std::vector<std::size_t> order = rng.permutation(blocks);
+  for (std::size_t b = 0;
+       b < static_cast<std::size_t>(pruned * static_cast<double>(blocks));
+       ++b) {
+    const std::size_t r0 = order[b] / block_cols * kBlockRows;
+    const std::size_t c0 = order[b] % block_cols * kBlockCols;
+    for (std::size_t r = r0; r < r0 + kBlockRows; ++r) {
+      for (std::size_t c = c0; c < c0 + kBlockCols; ++c) {
+        mask.at(r, c) = 0.0f;
+      }
+    }
+  }
+  conv.apply_mask();
+  nn::Relu relu("gate_relu");
+  nn::MaxPool2d pool("gate_pool", nn::PoolSpec{1, 2, 2});
+  nn::Tensor input({32, 16, 1, 64});
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    input[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  }
+  const nn::Tensor* conv_in[] = {&input};
+  const nn::Tensor conv_out = conv.forward(conv_in, /*training=*/true);
+  const nn::Tensor* relu_in[] = {&conv_out};
+  const nn::Tensor relu_out = relu.forward(relu_in, true);
+  const nn::Tensor* pool_in[] = {&relu_out};
+  nn::Tensor upstream = pool.forward(pool_in, true);
+  for (std::size_t i = 0; i < upstream.numel(); ++i) {
+    upstream[i] = static_cast<float>(rng.normal());
+  }
+  const nn::Tensor grad_out =
+      relu.backward(pool.backward(upstream, true)[0], true)[0];
+
+  Checksum sum;
+  conv.zero_grads();
+  const std::vector<nn::Tensor> grads = conv.backward(grad_out, true);
+  for (const nn::ParamRef& p : conv.params()) {
+    sum.fold_floats(p.grad->data(), p.grad->numel());
+  }
+  sum.fold_floats(grads[0].data(), grads[0].numel());
+  PerfEntry e;
+  e.name = name;
+  e.iters = iters;
+  e.checksum = sum.value();
+  e.median_ns = median_ns(iters, [&] {
+    conv.zero_grads();
+    (void)conv.backward(grad_out, true);
+  });
   return e;
 }
 
@@ -350,6 +417,8 @@ PerfReport run_all() {
   report.add(time_gemm("gemm_a_bt_64", iprune::nn::gemm_a_bt, kM, kM, kM,
                        1.0, kMicroIters));
   report.add(time_conv_infer(17));
+  report.add(time_conv_backward("conv2d_backward_har2_dense", 0.0, 9));
+  report.add(time_conv_backward("conv2d_backward_har2_masked70", 0.7, 9));
   report.add(time_bsr_build(kMicroIters));
   report.add(time_quantize_q15(kMicroIters));
   report.add(time_engine_e2e(7));

@@ -28,21 +28,30 @@ Tensor Relu::forward(std::span<const Tensor* const> inputs, bool training) {
   }
   const Tensor& input = *inputs[0];
   Tensor output(input.shape());
-  active_.assign(input.numel(), false);
+  active_.resize(input.numel());
+  const float* in = input.data();
+  float* out = output.data();
+  std::uint8_t* active = active_.data();
   for (std::size_t i = 0; i < input.numel(); ++i) {
-    const bool pass = input[i] > 0.0f;
-    output[i] = pass ? input[i] : 0.0f;
-    active_[i] = pass;
+    const bool pass = in[i] > 0.0f;
+    out[i] = pass ? in[i] : 0.0f;
+    active[i] = pass ? 1 : 0;
   }
   cached_shape_ = input.shape();
   return output;
 }
 
-std::vector<Tensor> Relu::backward(const Tensor& grad_output) {
+std::vector<Tensor> Relu::backward(const Tensor& grad_output,
+                                   bool /*need_input_grads*/) {
   assert(grad_output.numel() == active_.size());
   Tensor grad_input(cached_shape_);
+  const float* g = grad_output.data();
+  const std::uint8_t* active = active_.data();
+  float* out = grad_input.data();
+  // A select, not g * mask: an inactive element's gradient is +0 even
+  // when g is negative or not finite.
   for (std::size_t i = 0; i < grad_output.numel(); ++i) {
-    grad_input[i] = active_[i] ? grad_output[i] : 0.0f;
+    out[i] = active[i] != 0 ? g[i] : 0.0f;
   }
   std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
@@ -74,7 +83,8 @@ Tensor Flatten::forward(std::span<const Tensor* const> inputs,
   return infer(inputs);
 }
 
-std::vector<Tensor> Flatten::backward(const Tensor& grad_output) {
+std::vector<Tensor> Flatten::backward(const Tensor& grad_output,
+                                      bool /*need_input_grads*/) {
   Tensor grad_input = grad_output;
   grad_input.reshape(cached_shape_);
   std::vector<Tensor> grads;

@@ -3,6 +3,8 @@
 // engine folds a ReLU following a CONV/FC into that layer's jobs (applied in
 // VM before the output is preserved, matching HAWAII+).
 
+#include <cstdint>
+
 #include "nn/layer.hpp"
 
 namespace iprune::nn {
@@ -19,14 +21,17 @@ class Relu final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output) override;
+  std::vector<Tensor> backward(const Tensor& grad_output,
+                               bool need_input_grads) override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;
 
  private:
   Relu(const Relu&) = default;
 
-  std::vector<bool> active_;  // per-element pass-through mask from forward
+  // Per-element pass-through mask from forward, one byte each so both
+  // passes vectorize (a bit-packed vector<bool> does not).
+  std::vector<std::uint8_t> active_;
   Shape cached_shape_;
 };
 
@@ -42,7 +47,8 @@ class Flatten final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output) override;
+  std::vector<Tensor> backward(const Tensor& grad_output,
+                               bool need_input_grads) override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;
 

@@ -20,7 +20,8 @@ class Concat final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output) override;
+  std::vector<Tensor> backward(const Tensor& grad_output,
+                               bool need_input_grads) override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;
 

@@ -46,25 +46,23 @@ Shape Conv2d::output_shape(std::span<const Shape> input_shapes) const {
 }
 
 void Conv2d::im2col(const float* input, std::size_t in_h, std::size_t in_w,
-                    float* col) const {
-  // col is [K, Ho*Wo] with K = Cin*kh*kw, laid out so each GEMM column is
-  // one output pixel's receptive field.
+                    float* col, std::size_t k_stride,
+                    std::size_t s_stride) const {
   const std::size_t ho = out_h(in_h);
   const std::size_t wo = out_w(in_w);
-  const std::size_t spatial = ho * wo;
   std::size_t k_row = 0;
   for (std::size_t c = 0; c < spec_.in_channels; ++c) {
     const float* in_plane = input + c * in_h * in_w;
     for (std::size_t kh = 0; kh < spec_.kernel_h; ++kh) {
       for (std::size_t kw = 0; kw < spec_.kernel_w; ++kw, ++k_row) {
-        float* col_row = col + k_row * spatial;
+        float* col_row = col + k_row * k_stride;
         for (std::size_t oy = 0; oy < ho; ++oy) {
           const std::ptrdiff_t iy =
               static_cast<std::ptrdiff_t>(oy * spec_.stride + kh) -
               static_cast<std::ptrdiff_t>(spec_.pad_h);
           if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) {
             for (std::size_t ox = 0; ox < wo; ++ox) {
-              col_row[oy * wo + ox] = 0.0f;
+              col_row[(oy * wo + ox) * s_stride] = 0.0f;
             }
             continue;
           }
@@ -74,7 +72,7 @@ void Conv2d::im2col(const float* input, std::size_t in_h, std::size_t in_w,
             const std::ptrdiff_t ix =
                 static_cast<std::ptrdiff_t>(ox * spec_.stride + kw) -
                 static_cast<std::ptrdiff_t>(spec_.pad_w);
-            col_row[oy * wo + ox] =
+            col_row[(oy * wo + ox) * s_stride] =
                 (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w))
                     ? 0.0f
                     : in_row[static_cast<std::size_t>(ix)];
@@ -85,17 +83,19 @@ void Conv2d::im2col(const float* input, std::size_t in_h, std::size_t in_w,
   }
 }
 
-void Conv2d::col2im(const float* col, std::size_t in_h, std::size_t in_w,
+void Conv2d::col2im(const float* col_t, std::size_t in_h, std::size_t in_w,
                     float* grad_input) const {
+  // k_row stays the outer loop: it fixes the order in which each input
+  // element receives its terms, and so the rounding of the sum.
   const std::size_t ho = out_h(in_h);
   const std::size_t wo = out_w(in_w);
-  const std::size_t spatial = ho * wo;
+  const std::size_t k = lowered_k();
   std::size_t k_row = 0;
   for (std::size_t c = 0; c < spec_.in_channels; ++c) {
     float* grad_plane = grad_input + c * in_h * in_w;
     for (std::size_t kh = 0; kh < spec_.kernel_h; ++kh) {
       for (std::size_t kw = 0; kw < spec_.kernel_w; ++kw, ++k_row) {
-        const float* col_row = col + k_row * spatial;
+        const float* col_column = col_t + k_row;
         for (std::size_t oy = 0; oy < ho; ++oy) {
           const std::ptrdiff_t iy =
               static_cast<std::ptrdiff_t>(oy * spec_.stride + kh) -
@@ -111,7 +111,8 @@ void Conv2d::col2im(const float* col, std::size_t in_h, std::size_t in_w,
             if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) {
               continue;
             }
-            grad_row[static_cast<std::size_t>(ix)] += col_row[oy * wo + ox];
+            grad_row[static_cast<std::size_t>(ix)] +=
+                col_column[(oy * wo + ox) * k];
           }
         }
       }
@@ -137,7 +138,7 @@ Tensor Conv2d::infer(std::span<const Tensor* const> inputs) const {
   auto col = util::ScratchPool::local().acquire<float>(k * spatial);
   for (std::size_t n = 0; n < batch; ++n) {
     im2col(input.data() + n * spec_.in_channels * in_h * in_w, in_h, in_w,
-           col.data());
+           col.data(), spatial, 1);
     float* out_mat = output.data() + n * spec_.out_channels * spatial;
     gemm_accumulate(weight_.data(), col.data(), out_mat, spec_.out_channels,
                     k, spatial);
@@ -159,7 +160,8 @@ Tensor Conv2d::forward(std::span<const Tensor* const> inputs, bool training) {
   return infer(inputs);
 }
 
-std::vector<Tensor> Conv2d::backward(const Tensor& grad_output) {
+std::vector<Tensor> Conv2d::backward(const Tensor& grad_output,
+                                     bool need_input_grads) {
   const Tensor& input = cached_input_;
   assert(input.rank() == 4);
   const std::size_t batch = input.dim(0);
@@ -170,18 +172,35 @@ std::vector<Tensor> Conv2d::backward(const Tensor& grad_output) {
   const std::size_t spatial = ho * wo;
   const std::size_t k = lowered_k();
 
-  Tensor grad_input(input.shape());
+  // Both products run over the transposed im2col buffer col_t [S, K], so
+  // both are axpy-form kernels whose sparse path skips the zero dOut
+  // entries that ReLU and max-pool leave in most rows. Each result keeps
+  // the rounding sequence of the dot-product form (docs/performance.md,
+  // "Training backward").
   auto& pool = util::ScratchPool::local();
-  auto col = pool.acquire<float>(k * spatial);
-  auto grad_col = pool.acquire<float>(k * spatial);
+  auto col_t = pool.acquire<float>(spatial * k);
+  auto sample_grad = pool.acquire<float>(spec_.out_channels * k);
+  util::Scratch<float> grad_col_t;
+  Tensor grad_input;
+  if (need_input_grads) {
+    grad_col_t = pool.acquire<float>(spatial * k);
+    grad_input = Tensor(input.shape());
+  }
   for (std::size_t n = 0; n < batch; ++n) {
     im2col(input.data() + n * spec_.in_channels * in_h * in_w, in_h, in_w,
-           col.data());
+           col_t.data(), 1, k);
     const float* grad_mat =
         grad_output.data() + n * spec_.out_channels * spatial;
-    // dW[Cout,K] += dOut[Cout,S] * col^T[S,K]
-    gemm_a_bt(grad_mat, col.data(), weight_grad_.data(), spec_.out_channels,
-              spatial, k);
+    // dW[Cout,K] += dOut[Cout,S] * col_t[S,K]: each sample's sum starts at
+    // +0 and is added to dW once, as a per-element dot product would be.
+    sample_grad.fill(0.0f);
+    gemm_accumulate(grad_mat, col_t.data(), sample_grad.data(),
+                    spec_.out_channels, spatial, k);
+    float* weight_grad = weight_grad_.data();
+    const float* sample = sample_grad.data();
+    for (std::size_t i = 0; i < weight_grad_.numel(); ++i) {
+      weight_grad[i] += sample[i];
+    }
     // db[Cout] += row sums of dOut
     for (std::size_t c = 0; c < spec_.out_channels; ++c) {
       const float* grad_row = grad_mat + c * spatial;
@@ -191,13 +210,18 @@ std::vector<Tensor> Conv2d::backward(const Tensor& grad_output) {
       }
       bias_grad_[c] += acc;
     }
-    // dcol[K,S] = W^T[K,Cout] * dOut[Cout,S]
-    grad_col.fill(0.0f);
-    gemm_at_b(weight_.data(), grad_mat, grad_col.data(), k,
-              spec_.out_channels, spatial);
-    col2im(grad_col.data(),
-           in_h, in_w,
+    if (!need_input_grads) {
+      continue;
+    }
+    // dcol_t[S,K] = dOut^T[S,Cout] * W[Cout,K]
+    grad_col_t.fill(0.0f);
+    gemm_at_b(grad_mat, weight_.data(), grad_col_t.data(), spatial,
+              spec_.out_channels, k);
+    col2im(grad_col_t.data(), in_h, in_w,
            grad_input.data() + n * spec_.in_channels * in_h * in_w);
+  }
+  if (!need_input_grads) {
+    return {};
   }
   std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));

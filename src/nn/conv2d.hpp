@@ -35,7 +35,8 @@ class Conv2d final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output) override;
+  std::vector<Tensor> backward(const Tensor& grad_output,
+                               bool need_input_grads) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;
@@ -63,9 +64,15 @@ class Conv2d final : public Layer {
  private:
   Conv2d(const Conv2d&) = default;
 
+  /// Lower one sample: element (k, s) of its [K, S] receptive-field
+  /// matrix lands at col[k * k_stride + s * s_stride]. Strides (S, 1)
+  /// give the forward GEMM's [K, S] layout, (1, K) the transposed [S, K]
+  /// layout the backward pass uses.
   void im2col(const float* input, std::size_t in_h, std::size_t in_w,
-              float* col) const;
-  void col2im(const float* col, std::size_t in_h, std::size_t in_w,
+              float* col, std::size_t k_stride, std::size_t s_stride) const;
+  /// Scatter-add a transposed [S, K] column gradient into one sample's
+  /// input gradient, each element receiving its terms in ascending k.
+  void col2im(const float* col_t, std::size_t in_h, std::size_t in_w,
               float* grad_input) const;
 
   Conv2dSpec spec_;

@@ -56,7 +56,8 @@ Tensor Dense::forward(std::span<const Tensor* const> inputs, bool training) {
   return infer(inputs);
 }
 
-std::vector<Tensor> Dense::backward(const Tensor& grad_output) {
+std::vector<Tensor> Dense::backward(const Tensor& grad_output,
+                                    bool need_input_grads) {
   const Tensor& input = cached_input_;
   const std::size_t batch = input.dim(0);
   assert(grad_output.rank() == 2 && grad_output.dim(0) == batch &&
@@ -70,6 +71,9 @@ std::vector<Tensor> Dense::backward(const Tensor& grad_output) {
     for (std::size_t o = 0; o < out_features_; ++o) {
       bias_grad_[o] += grad_row[o];
     }
+  }
+  if (!need_input_grads) {
+    return {};
   }
   // dX[N,I] = dOut[N,O] * W[O,I]
   Tensor grad_input({batch, in_features_});

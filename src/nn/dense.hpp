@@ -22,7 +22,8 @@ class Dense final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output) override;
+  std::vector<Tensor> backward(const Tensor& grad_output,
+                               bool need_input_grads) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;

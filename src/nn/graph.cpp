@@ -1,5 +1,6 @@
 #include "nn/graph.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -146,8 +147,16 @@ void Graph::backward(const Tensor& grad_output) {
     if (grads[node].numel() == 0) {
       continue;  // node not on any path to the output
     }
-    std::vector<Tensor> input_grads = layers_[node - 1]->backward(grads[node]);
     const std::vector<NodeId>& ins = node_inputs(node);
+    // Nobody reads the graph input's gradient, so a layer fed only by it
+    // (conv1 in every paper model) is told to skip computing one.
+    const bool need_input_grads = std::any_of(
+        ins.begin(), ins.end(), [this](NodeId id) { return id != input(); });
+    std::vector<Tensor> input_grads =
+        layers_[node - 1]->backward(grads[node], need_input_grads);
+    if (!need_input_grads) {
+      continue;
+    }
     assert(input_grads.size() == ins.size());
     for (std::size_t i = 0; i < ins.size(); ++i) {
       Tensor& slot = grads[ins[i]];

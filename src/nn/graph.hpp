@@ -57,7 +57,9 @@ class Graph {
   /// Inference-only forward returning every node's activation.
   [[nodiscard]] std::vector<Tensor> infer_nodes(const Tensor& batch) const;
 
-  /// Backward from a gradient of the output (after a forward(training=true)).
+  /// Backward from a gradient of the output (after a forward(training=true)):
+  /// accumulates every parameter gradient. Nothing reads the graph input's
+  /// own gradient, so layers fed only by it are told to skip theirs.
   void backward(const Tensor& grad_output);
 
   /// All trainable parameters, in node order.

@@ -68,8 +68,12 @@ class Layer {
 
   /// Propagate `grad_output` (same shape as the last forward() result):
   /// accumulates parameter gradients and returns one gradient tensor per
-  /// input, in the same order as forward()'s `inputs`.
-  virtual std::vector<Tensor> backward(const Tensor& grad_output) = 0;
+  /// input, in the same order as forward()'s `inputs`. With
+  /// `need_input_grads` false nobody reads the input gradients (the layer
+  /// consumes only the graph input), so a layer may skip them and return
+  /// an empty vector; its parameter gradients are the same either way.
+  virtual std::vector<Tensor> backward(const Tensor& grad_output,
+                                       bool need_input_grads) = 0;
 
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }

@@ -95,7 +95,8 @@ Tensor MaxPool2d::forward(std::span<const Tensor* const> inputs,
   return compute(input, &argmax_);
 }
 
-std::vector<Tensor> MaxPool2d::backward(const Tensor& grad_output) {
+std::vector<Tensor> MaxPool2d::backward(const Tensor& grad_output,
+                                        bool /*need_input_grads*/) {
   Tensor grad_input(cached_input_shape_);
   assert(grad_output.numel() == argmax_.size());
   for (std::size_t i = 0; i < argmax_.size(); ++i) {
@@ -149,7 +150,8 @@ Tensor AvgPool2d::forward(std::span<const Tensor* const> inputs,
   return infer(inputs);
 }
 
-std::vector<Tensor> AvgPool2d::backward(const Tensor& grad_output) {
+std::vector<Tensor> AvgPool2d::backward(const Tensor& grad_output,
+                                        bool /*need_input_grads*/) {
   Tensor grad_input(cached_input_shape_);
   const std::size_t batch = cached_input_shape_[0];
   const std::size_t channels = cached_input_shape_[1];

@@ -24,7 +24,8 @@ class MaxPool2d final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output) override;
+  std::vector<Tensor> backward(const Tensor& grad_output,
+                               bool need_input_grads) override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;
   [[nodiscard]] const PoolSpec& spec() const { return spec_; }
@@ -54,7 +55,8 @@ class AvgPool2d final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output) override;
+  std::vector<Tensor> backward(const Tensor& grad_output,
+                               bool need_input_grads) override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;
   [[nodiscard]] const PoolSpec& spec() const { return spec_; }

@@ -11,22 +11,21 @@ ScratchPool& ScratchPool::local() {
 
 std::vector<std::byte> ScratchPool::take(std::size_t bytes) {
   ++outstanding_;
-  // Best fit: the smallest free buffer whose capacity already covers the
-  // request, so big buffers stay available for big checkouts.
+  // Best fit: the smallest free buffer that already covers the request,
+  // so big buffers stay available for big checkouts.
   std::size_t best = free_.size();
   for (std::size_t i = 0; i < free_.size(); ++i) {
-    if (free_[i].capacity() >= bytes &&
-        (best == free_.size() ||
-         free_[i].capacity() < free_[best].capacity())) {
+    if (free_[i].size() >= bytes &&
+        (best == free_.size() || free_[i].size() < free_[best].size())) {
       best = i;
     }
   }
   if (best == free_.size() && !free_.empty()) {
-    // Nothing big enough: grow the largest free buffer instead of leaving
-    // it stranded while a fresh allocation duplicates it.
+    // Nothing big enough: replace the largest free buffer instead of
+    // leaving it stranded while a fresh allocation duplicates it.
     best = 0;
     for (std::size_t i = 1; i < free_.size(); ++i) {
-      if (free_[i].capacity() > free_[best].capacity()) {
+      if (free_[i].size() > free_[best].size()) {
         best = i;
       }
     }
@@ -34,13 +33,13 @@ std::vector<std::byte> ScratchPool::take(std::size_t bytes) {
   if (best < free_.size()) {
     std::vector<std::byte> storage = std::move(free_[best]);
     free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(best));
-    if (storage.capacity() >= bytes) {
+    // Pooled storage keeps the size it was allocated with, so a reused
+    // buffer is handed out as is. Sizing it down and up again would
+    // value-initialize (zero) the regrown bytes on every such checkout.
+    if (storage.size() >= bytes) {
       ++reuses_;
-    } else {
-      ++allocations_;
+      return storage;
     }
-    storage.resize(bytes);
-    return storage;
   }
   ++allocations_;
   return std::vector<std::byte>(bytes);
@@ -50,17 +49,16 @@ void ScratchPool::give_back(std::vector<std::byte>&& storage) {
   if (outstanding_ > 0) {
     --outstanding_;
   }
-  if (storage.capacity() == 0) {
+  if (storage.empty()) {
     return;
   }
   if (free_.size() >= kMaxFreeBuffers) {
     // Evict the smallest retained buffer (keep the ones hardest to
     // re-allocate) unless the incoming one is smaller still.
     auto smallest = std::min_element(
-        free_.begin(), free_.end(), [](const auto& x, const auto& y) {
-          return x.capacity() < y.capacity();
-        });
-    if (smallest->capacity() >= storage.capacity()) {
+        free_.begin(), free_.end(),
+        [](const auto& x, const auto& y) { return x.size() < y.size(); });
+    if (smallest->size() >= storage.size()) {
       return;
     }
     *smallest = std::move(storage);

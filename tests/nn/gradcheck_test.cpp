@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 
@@ -35,7 +36,7 @@ Tensor loss_grad(const Tensor& y) {
 void check_layer(Layer& layer, Tensor input, double tolerance = 2e-2) {
   std::vector<const Tensor*> ins = {&input};
   Tensor out = layer.forward(ins, /*training=*/true);
-  std::vector<Tensor> input_grads = layer.backward(loss_grad(out));
+  std::vector<Tensor> input_grads = layer.backward(loss_grad(out), true);
   ASSERT_EQ(input_grads.size(), 1u);
 
   constexpr float kEps = 1e-3f;
@@ -57,7 +58,7 @@ void check_layer(Layer& layer, Tensor input, double tolerance = 2e-2) {
   // Parameter gradients.
   layer.zero_grads();
   out = layer.forward(ins, true);
-  (void)layer.backward(loss_grad(out));
+  (void)layer.backward(loss_grad(out), true);
   for (const ParamRef& p : layer.params()) {
     const std::size_t pstride =
         std::max<std::size_t>(1, p.value->numel() / 48);
@@ -122,6 +123,29 @@ TEST(DenseGradCheck, MatchesFiniteDifferences) {
   check_layer(fc, random_tensor({3, 6}, 18));
 }
 
+TEST(DenseGradCheck, SkippingInputGradientKeepsParameterGradients) {
+  // Graph::backward tells a layer fed only by the graph input to skip its
+  // input gradient; the parameter gradients must come out byte-identical.
+  util::Rng rng(46);
+  Dense fc("fc", 6, 4, rng);
+  Tensor input = random_tensor({3, 6}, 25);
+  std::vector<const Tensor*> ins = {&input};
+  const Tensor out = fc.forward(ins, true);
+  (void)fc.backward(loss_grad(out), true);
+  std::vector<Tensor> expected;
+  for (const ParamRef& p : fc.params()) {
+    expected.push_back(*p.grad);
+  }
+  fc.zero_grads();
+  EXPECT_TRUE(fc.backward(loss_grad(out), false).empty());
+  const std::vector<ParamRef> params = fc.params();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(expected[i].data(), params[i].grad->data(),
+                             expected[i].numel() * sizeof(float)))
+        << "param " << i;
+  }
+}
+
 TEST(MaxPoolGradCheck, MatchesFiniteDifferences) {
   MaxPool2d pool("p", {2, 2, 2});
   // Spread values so the argmax is stable under the probe epsilon.
@@ -162,7 +186,7 @@ TEST(ConcatGradCheck, SplitsGradientCorrectly) {
   Tensor b = random_tensor({2, 3, 3, 3}, 23);
   std::vector<const Tensor*> ins = {&a, &b};
   const Tensor out = cat.forward(ins, true);
-  const std::vector<Tensor> grads = cat.backward(loss_grad(out));
+  const std::vector<Tensor> grads = cat.backward(loss_grad(out), true);
   ASSERT_EQ(grads.size(), 2u);
   // Concat backward just routes: grad wrt a equals a's values (L = ||y||²/2).
   for (std::size_t i = 0; i < a.numel(); ++i) {

@@ -51,6 +51,28 @@ TEST(ScratchPool, SmallerRequestReusesLargerBuffer) {
   EXPECT_EQ(1u, pool.allocations());
 }
 
+TEST(ScratchPool, RegrownCheckoutHandsBackPreviousBytes) {
+  // Contents are uninitialized, not zeroed: a buffer checked out small
+  // and then large again must come back with the lane's own bytes. A pool
+  // that sizes its vectors down and up again zero-fills the regrown tail
+  // on every such checkout.
+  ScratchPool pool;
+  {
+    auto a = pool.acquire<std::uint32_t>(256);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = 0xA5A5A5A5u ^ static_cast<std::uint32_t>(i);
+    }
+  }
+  { auto small = pool.acquire<std::uint32_t>(16); (void)small; }
+  auto b = pool.acquire<std::uint32_t>(256);
+  EXPECT_EQ(1u, pool.allocations());
+  EXPECT_EQ(2u, pool.reuses());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    ASSERT_EQ(0xA5A5A5A5u ^ static_cast<std::uint32_t>(i), b[i])
+        << "element " << i;
+  }
+}
+
 TEST(ScratchPool, BestFitPrefersSmallestAdequateBuffer) {
   ScratchPool pool;
   const std::byte* small_ptr = nullptr;
