@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/cli_args.hpp"
 #include "engine/deploy.hpp"
 #include "fault/checker.hpp"
 #include "fault/injector.hpp"
@@ -51,6 +52,7 @@
 namespace {
 
 using namespace iprune;
+using apps::parse_u64_arg;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -58,27 +60,6 @@ int usage(const char* argv0) {
                "[--repro TOKEN] [--corrupt] [--scrub-only]\n",
                argv0);
   return 2;
-}
-
-/// Strict u64 CLI argument: the whole token must be digits ("24abc" used
-/// to silently parse as 24, and stoull alone wraps "-5" to 2^64-5).
-std::uint64_t parse_u64_arg(const char* argv0, const char* flag,
-                            const char* token) {
-  std::size_t used = 0;
-  std::uint64_t value = 0;
-  if (token[0] >= '0' && token[0] <= '9') {
-    try {
-      value = std::stoull(token, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-  }
-  if (used == 0 || token[used] != '\0') {
-    std::fprintf(stderr, "%s: %s needs an unsigned integer, got '%s'\n",
-                 argv0, flag, token);
-    std::exit(2);
-  }
-  return value;
 }
 
 struct Workbench {

@@ -16,31 +16,13 @@
 #include <exception>
 #include <string>
 
+#include "apps/cli_args.hpp"
 #include "fleet/orchestrator.hpp"
 #include "scenario/scenario.hpp"
 
 namespace {
 
-/// Strict u64 CLI argument: the whole token must be digits ("5x" used to
-/// silently parse as 5, and stoull alone wraps "-5" to 2^64-5).
-std::uint64_t parse_u64_arg(const char* argv0, const char* flag,
-                            const char* token) {
-  std::size_t used = 0;
-  std::uint64_t value = 0;
-  if (token[0] >= '0' && token[0] <= '9') {
-    try {
-      value = std::stoull(token, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-  }
-  if (used == 0 || token[used] != '\0') {
-    std::fprintf(stderr, "%s: %s needs an unsigned integer, got '%s'\n",
-                 argv0, flag, token);
-    std::exit(2);
-  }
-  return value;
-}
+using iprune::apps::parse_u64_arg;
 
 int usage(const char* argv0) {
   std::fprintf(

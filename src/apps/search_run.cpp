@@ -15,8 +15,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
+#include "apps/cli_args.hpp"
 #include "search/run.hpp"
 #include "util/atomic_write.hpp"
 
@@ -64,25 +66,27 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(arg, "--seed") == 0) {
-      config.seed = std::strtoull(value(), nullptr, 10);
+      config.seed = apps::parse_u64_arg(argv[0], arg, value());
     } else if (std::strcmp(arg, "--evals") == 0) {
-      config.evaluations = std::strtoull(value(), nullptr, 10);
+      config.evaluations = apps::parse_u64_arg(argv[0], arg, value());
     } else if (std::strcmp(arg, "--batch") == 0) {
-      config.batch_size = std::strtoull(value(), nullptr, 10);
+      config.batch_size = apps::parse_u64_arg(argv[0], arg, value());
     } else if (std::strcmp(arg, "--anneal-iters") == 0) {
-      config.anneal_iterations = std::strtoull(value(), nullptr, 10);
+      config.anneal_iterations = apps::parse_u64_arg(argv[0], arg, value());
     } else if (std::strcmp(arg, "--anneal-stride") == 0) {
-      config.anneal_checkpoint_stride = std::strtoull(value(), nullptr, 10);
+      config.anneal_checkpoint_stride =
+          apps::parse_u64_arg(argv[0], arg, value());
     } else if (std::strcmp(arg, "--state") == 0) {
       config.state_dir = value();
     } else if (std::strcmp(arg, "--resume") == 0) {
       config.resume = true;
     } else if (std::strcmp(arg, "--eval-delay-ms") == 0) {
-      config.eval_delay_ms = std::atoi(value());
+      config.eval_delay_ms = static_cast<int>(apps::parse_u64_arg(
+          argv[0], arg, value(), std::numeric_limits<int>::max()));
     } else if (std::strcmp(arg, "--digest-out") == 0) {
       digest_out = value();
     } else if (std::strcmp(arg, "--min-hit-rate") == 0) {
-      min_hit_rate = std::atof(value());
+      min_hit_rate = apps::parse_fraction_arg(argv[0], arg, value());
     } else if (std::strcmp(arg, "--expect-digest") == 0) {
       expect_digest = value();
     } else {

@@ -249,7 +249,7 @@ bool same_plan(const TilePlan& a, const TilePlan& b) {
 
 const CohortMember& leader_of(std::span<const CohortMember> members) {
   if (members.empty() || members[0].model == nullptr ||
-      members[0].device == nullptr) {
+      members[0].backend == nullptr) {
     throw std::invalid_argument(
         "IntermittentEngine: cohort needs a non-null leader");
   }
@@ -283,7 +283,7 @@ IntermittentEngine::IntermittentEngine(DeployedModel& model,
 
 IntermittentEngine::IntermittentEngine(std::span<const CohortMember> members)
     : IntermittentEngine(*leader_of(members).model,
-                         *leader_of(members).device) {
+                         *leader_of(members).backend) {
   if (members.size() == 1) {
     return;
   }
@@ -294,15 +294,15 @@ IntermittentEngine::IntermittentEngine(std::span<const CohortMember> members)
         "envelope");
   }
   for (const CohortMember& m : members) {
-    if (m.model == nullptr || m.device == nullptr) {
+    if (m.model == nullptr || m.backend == nullptr) {
       throw std::invalid_argument("IntermittentEngine: null cohort member");
     }
-    if (m.device->trace_enabled()) {
+    if (m.backend->trace_enabled()) {
       throw std::invalid_argument(
           "IntermittentEngine: telemetry tracing is outside the lockstep "
           "envelope");
     }
-    if (m.device->nvm().corruption() != nullptr) {
+    if (m.backend->nvm().corruption() != nullptr) {
       throw std::invalid_argument(
           "IntermittentEngine: NVM corruption is outside the lockstep "
           "envelope");
@@ -315,7 +315,7 @@ IntermittentEngine::IntermittentEngine(std::span<const CohortMember> members)
   }
   for (std::size_t m = 1; m < members.size(); ++m) {
     models_.push_back(members[m].model);
-    raws_.push_back(members[m].device->nvm().raw_storage());
+    raws_.push_back(members[m].backend->nvm().raw_storage());
   }
   gds_.resize(members.size());
   wblocks_.resize(members.size());

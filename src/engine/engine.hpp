@@ -85,11 +85,11 @@ struct InferenceResult {
 };
 
 /// One lockstep cohort member. Non-owning; both must outlive the engine.
-/// Member 0's device carries the cohort's timeline; follower devices only
-/// lend their NVM images (their clocks stay parked after deployment).
+/// Member 0's backend carries the cohort's timeline; follower backends
+/// only lend their NVM images (their clocks stay parked after deployment).
 struct CohortMember {
   DeployedModel* model = nullptr;
-  device::Msp430Device* device = nullptr;
+  Backend* backend = nullptr;
 };
 
 class IntermittentEngine {
@@ -216,7 +216,7 @@ class IntermittentEngine {
                   const std::string& name, std::uint64_t seq);
 
   DeployedModel& model_;  // the leader's deployment
-  std::unique_ptr<Backend> owned_backend_;  // Msp430Device ctors only
+  std::unique_ptr<Backend> owned_backend_;  // the Msp430Device ctor only
   Backend& backend_;
   device::Nvm& nvm_;  // the leader's NVM
   const EngineConfig& config_;

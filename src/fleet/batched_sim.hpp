@@ -5,12 +5,13 @@
 // perfect NVM, telemetry off) share a member-invariant timeline: the
 // engine's control flow never branches on data values, so every member
 // performs the same chargeable events at the same instants with the same
-// fault ordinals. run_cohort() builds all member stacks, then advances
-// them through one engine::IntermittentEngine cohort — member 0's device
-// carries the real charge timeline, the followers do only value work.
-// Results are bit-identical to simulating each member standalone (the
-// fleet batched differential test pins this); anything that falls outside
-// the lockstep envelope silently falls back to per-device simulation.
+// fault ordinals. run_cohort() builds one DeviceSim per member, then
+// advances them all through one engine::IntermittentEngine cohort over
+// the sims' {model, backend} pairs — member 0's backend carries the real
+// charge timeline, the followers do only value work. Results are
+// bit-identical to stepping each member standalone (the fleet batched
+// differential test pins this); a cohort the engine rejects steps the
+// sims it already built, one by one.
 
 #include <span>
 #include <vector>
@@ -30,10 +31,10 @@ inline constexpr std::size_t kMaxCohort = 64;
 /// records per-device traces — all outside the envelope.
 [[nodiscard]] bool batched_eligible(const DeviceSpec& spec);
 
-/// Simulate `specs` (>= 2 consecutive devices of one group) in lockstep.
-/// Returns one DeviceResult per spec, in order. Falls back to standalone
-/// run_device() per member when the cohort turns out not to be
-/// lockstep-compatible after deployment.
+/// Simulate `specs` (consecutive devices of one group) in lockstep.
+/// Returns one DeviceResult per spec, in order. One spec is one stepped
+/// DeviceSim; a cohort the engine rejects (outside the lockstep envelope,
+/// or not lockstep-compatible after deployment) steps each member alone.
 [[nodiscard]] std::vector<DeviceResult> run_cohort(
     std::span<const DeviceSpec> specs);
 

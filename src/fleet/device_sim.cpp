@@ -1,5 +1,6 @@
 #include "fleet/device_sim.hpp"
 
+#include <cstdint>
 #include <exception>
 #include <utility>
 
@@ -32,12 +33,16 @@ DeviceSim::DeviceSim(const DeviceSpec& spec)
       graph_(build_graph(spec.model, rng_)) {
   result_.index = spec_.index;
   result_.group = spec_.group;
+  // A device asked for no inferences has nothing to run.
+  done_ = spec_.inferences == 0;
+  result_.completed = done_;
 
   // Draw order matters (calibration before samples): it is part of the
   // reproducibility contract with the differential test.
   const nn::Tensor calibration =
       fault::make_batch(rng_, graph_, kCalibrationSamples);
-  samples_ = fault::make_batch(rng_, graph_, spec_.inferences);
+  const nn::Tensor samples =
+      fault::make_batch(rng_, graph_, spec_.inferences);
 
   backend_ = engine::make_backend(spec_.backend, spec_.power.make());
 
@@ -59,6 +64,10 @@ DeviceSim::DeviceSim(const DeviceSpec& spec)
   model_ =
       std::make_unique<engine::DeployedModel>(graph_, config, *backend_,
                                               calibration);
+  // The engine's input quantization is elementwise, so the whole stream is
+  // quantized once here rather than one sample per round.
+  inputs_ = engine::IntermittentEngine::quantize_input(
+      {samples.data(), samples.numel()}, model_->input_scale());
 
   if (corrupted) {
     device::CorruptionConfig cc;
@@ -87,72 +96,102 @@ DeviceSim::DeviceSim(const DeviceSpec& spec)
 }
 
 bool DeviceSim::step() {
-  if (done_) {
-    return false;
+  if (!done_) {
+    DeviceSim* const self[] = {this};
+    step_all(self, *engine_);
   }
-  const double deadline_us = spec_.deadline_s * 1e6;
-  if (spec_.deadline_s > 0.0 && backend_->now_us() >= deadline_us) {
-    result_.deadline_missed = true;
-    done_ = true;
-    return false;
+  return !done_;
+}
+
+void DeviceSim::step_all(std::span<DeviceSim* const> sims,
+                         engine::IntermittentEngine& engine) {
+  const DeviceSim& lead = *sims[0];
+  const auto end_all = [sims](const auto& mark) {
+    for (DeviceSim* sim : sims) {
+      mark(sim->result_);
+      sim->done_ = true;
+    }
+  };
+  const double deadline_us = lead.spec_.deadline_s * 1e6;
+  const bool has_deadline = lead.spec_.deadline_s > 0.0;
+  if (has_deadline && lead.backend_->now_us() >= deadline_us) {
+    end_all([](DeviceResult& r) { r.deadline_missed = true; });
+    return;
   }
   try {
-    const nn::Tensor sample = fault::slice_sample(samples_, next_);
-    engine::InferenceResult inference = engine_->run(sample);
-    result_.reexecuted_jobs += inference.stats.reexecuted_jobs;
-    result_.integrity_rollbacks += inference.stats.integrity_rollbacks;
-    if (!inference.stats.completed) {
-      result_.failed = true;
-      result_.error = "inference exceeded the engine restart budget";
-      done_ = true;
-    } else if (spec_.deadline_s > 0.0 && backend_->now_us() > deadline_us) {
+    std::vector<std::span<const std::int16_t>> inputs;
+    inputs.reserve(sims.size());
+    for (const DeviceSim* sim : sims) {
+      const std::size_t elems = nn::shape_numel(sim->graph_.input_shape());
+      inputs.push_back({sim->inputs_.data() + sim->next_ * elems, elems});
+    }
+    std::vector<engine::InferenceResult> inferences =
+        engine.run_quantized(inputs);
+    for (std::size_t m = 0; m < sims.size(); ++m) {
+      DeviceResult& r = sims[m]->result_;
+      r.reexecuted_jobs += inferences[m].stats.reexecuted_jobs;
+      r.integrity_rollbacks += inferences[m].stats.integrity_rollbacks;
+    }
+    if (!inferences[0].stats.completed) {
+      end_all([](DeviceResult& r) {
+        r.failed = true;
+        r.error = "inference exceeded the engine restart budget";
+      });
+    } else if (has_deadline && lead.backend_->now_us() > deadline_us) {
       // Finished, but past the deadline: the inference does not count.
-      result_.deadline_missed = true;
-      done_ = true;
+      end_all([](DeviceResult& r) { r.deadline_missed = true; });
     } else {
-      ++result_.inferences_done;
-      result_.latency_us.record(inference.stats.latency_s * 1e6);
-      util::Fnv1a digest;
-      digest.fold_u64(result_.logits_checksum);
-      digest.fold_f32(inference.logits.data(), inference.logits.size());
-      result_.logits_checksum = digest.value();
-      result_.last_logits = std::move(inference.logits);
-      if (++next_ == spec_.inferences) {
-        result_.completed = true;
-        done_ = true;
+      for (std::size_t m = 0; m < sims.size(); ++m) {
+        DeviceResult& r = sims[m]->result_;
+        ++r.inferences_done;
+        r.latency_us.record(inferences[m].stats.latency_s * 1e6);
+        util::Fnv1a digest;
+        digest.fold_u64(r.logits_checksum);
+        digest.fold_f32(inferences[m].logits.data(),
+                        inferences[m].logits.size());
+        r.logits_checksum = digest.value();
+        r.last_logits = std::move(inferences[m].logits);
+        ++sims[m]->next_;
+      }
+      if (lead.next_ == lead.spec_.inferences) {
+        end_all([](DeviceResult& r) { r.completed = true; });
       }
     }
   } catch (const engine::IntegrityError& e) {
     // Detected-but-unrecoverable corruption: the device cannot be trusted.
-    result_.failed = true;
-    result_.error = e.what();
-    result_.verdict = IntegrityVerdict::kCompromised;
-    done_ = true;
+    end_all([&e](DeviceResult& r) {
+      r.failed = true;
+      r.error = e.what();
+      r.verdict = IntegrityVerdict::kCompromised;
+    });
   } catch (const std::exception& e) {
     // The event-budget watchdog, dead-supply recharge, restart budget —
     // all demote to a failed device instead of aborting the fleet. An
     // unprotected progress counter that lost a committed record surfaces
     // as a crash-consistency violation: also an integrity compromise.
-    result_.failed = true;
-    result_.error = e.what();
-    if (result_.error.find("crash-consistency") != std::string::npos) {
-      result_.verdict = IntegrityVerdict::kCompromised;
-    }
-    done_ = true;
+    end_all([&e](DeviceResult& r) {
+      r.failed = true;
+      r.error = e.what();
+      if (r.error.find("crash-consistency") != std::string::npos) {
+        r.verdict = IntegrityVerdict::kCompromised;
+      }
+    });
   }
-  return !done_;
 }
 
-DeviceResult DeviceSim::finish() {
+DeviceResult DeviceSim::finish() { return finish(*this); }
+
+DeviceResult DeviceSim::finish(const DeviceSim& timeline) {
   backend_->set_fault_hook(nullptr);
   backend_->set_trace_sink(nullptr);
   backend_->nvm().set_corruption(nullptr);
 
-  const device::DeviceStats& ds = backend_->stats();
-  result_.sim_s = backend_->now_us() / 1e6;
+  const engine::Backend& clock = *timeline.backend_;
+  const device::DeviceStats& ds = clock.stats();
+  result_.sim_s = clock.now_us() / 1e6;
   result_.on_s = ds.on_time_us / 1e6;
   result_.off_s = ds.off_time_us / 1e6;
-  if (const power::PowerManager* pm = backend_->power(); pm != nullptr) {
+  if (const power::PowerManager* pm = clock.power(); pm != nullptr) {
     const power::PowerStats& ps = pm->stats();
     result_.consumed_j = ps.consumed_j;
     result_.harvested_j = ps.harvested_j;
@@ -160,7 +199,7 @@ DeviceResult DeviceSim::finish() {
     result_.power_failures = ps.power_failures;
     result_.injected_outages = ps.injected_failures;
   }
-  result_.events = injector_->total_events();
+  result_.events = timeline.injector_->total_events();
   result_.nvm_bytes_read = ds.nvm_bytes_read;
   result_.nvm_bytes_written = ds.nvm_bytes_written;
   result_.macs = ds.macs;

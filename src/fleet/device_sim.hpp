@@ -3,13 +3,17 @@
 // power, fault injector, optional corruption + telemetry) built from a
 // resolved DeviceSpec, stepped one inference at a time.
 //
-// The construction recipe here is the *reference* standalone stack — the
-// fleet differential test rebuilds it by hand from the same DeviceSpec
-// and requires bit-identical logits and telemetry. Keep the two in sync:
-// any change to seeding, construction order, or engine configuration is
-// an observable behaviour change for every fleet spec.
+// This is the fleet's one device recipe: a stepped device and every
+// member of a lockstep cohort (fleet/batched_sim.hpp) are DeviceSims, and
+// one round loop advances 1..N of them — step() is a round over {this}
+// through the sim's own engine. The fleet differential test rebuilds the
+// stack by hand from the same DeviceSpec and requires bit-identical
+// logits and telemetry. Keep the two in sync: any change to seeding,
+// construction order, or engine configuration is an observable behaviour
+// change for every fleet spec.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,11 +93,28 @@ class DeviceSim {
   [[nodiscard]] DeviceResult finish();
 
  private:
+  friend std::vector<DeviceResult> run_cohort(
+      std::span<const DeviceSpec> specs);
+
+  /// One round: every sim runs its next inference through `engine`, whose
+  /// members are the sims' {model, backend} pairs led by sims[0].
+  /// The timeline is member-invariant, so the leader's clock and restart
+  /// budget decide every outcome flag, and any failure ends every sim.
+  static void step_all(std::span<DeviceSim* const> sims,
+                       engine::IntermittentEngine& engine);
+
+  /// finish() with the timeline (clock, energy ledger, power failures,
+  /// events, NVM traffic, MACs) read from `timeline`: the sim itself, or
+  /// the cohort leader for a follower, whose own device never runs.
+  [[nodiscard]] DeviceResult finish(const DeviceSim& timeline);
+
   DeviceSpec spec_;
   DeviceResult result_;
   util::Rng rng_;
   nn::Graph graph_;
-  nn::Tensor samples_;
+  /// The sample stream as engine inputs: spec.inferences samples of the
+  /// graph's input size each, quantized once after deployment.
+  std::vector<std::int16_t> inputs_;
   /// Built by engine::make_backend from spec.backend: a CycleBackend-owned
   /// Msp430Device for cycle/custom groups, a bare-Nvm FunctionalBackend
   /// for functional groups (no power model — harvest/outage stats stay 0).

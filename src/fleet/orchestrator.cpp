@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "fleet/batched_sim.hpp"
-#include "fleet/device_sim.hpp"
 #include "runtime/parallel.hpp"
 #include "util/hash.hpp"
 
@@ -98,16 +97,12 @@ FleetResult FleetOrchestrator::run(runtime::ThreadPool* pool,
     }
     // One whole unit per loop index: the stacks live only inside their
     // lane's body, results gather by unit then flatten in index order.
+    // A one-device unit is one stepped DeviceSim.
     std::vector<std::vector<DeviceResult>> unit_results =
         runtime::parallel_map(lanes, units.size(), [&](std::size_t u) {
           const WorkUnit& unit = units[u];
-          if (unit.count >= 2) {
-            return run_cohort(
-                std::span(devices.data() + unit.begin, unit.count));
-          }
-          std::vector<DeviceResult> one;
-          one.push_back(run_device(devices[unit.begin]));
-          return one;
+          return run_cohort(
+              std::span(devices.data() + unit.begin, unit.count));
         });
     std::vector<DeviceResult> results;
     results.reserve(count);

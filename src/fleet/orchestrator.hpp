@@ -28,11 +28,6 @@ class FleetOrchestrator {
 
   [[nodiscard]] const FleetSpec& spec() const { return spec_; }
 
-  /// The fully resolved per-device specs, in device-index order.
-  [[nodiscard]] std::vector<DeviceSpec> device_specs() const {
-    return spec_.resolve();
-  }
-
   /// Simulate the whole fleet. `pool` defaults to the shared pool;
   /// `gateway` (optional) observes every device result plus the final
   /// aggregate. Device-level errors become failed devices in the result;

@@ -385,11 +385,13 @@ struct Member {
       : rng(seed),
         graph(make_test_graph(rng)),
         device(make_device(power_w)),
+        backend(device),
         model(graph, config, device, make_input_batch(rng, 8)) {}
 
   util::Rng rng;
   nn::Graph graph;
   device::Msp430Device device;
+  engine::CycleBackend backend;
   engine::DeployedModel model;
 };
 
@@ -412,7 +414,7 @@ TEST(EngineCohort, MembersMatchTheirStandaloneRuns) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       cohort.push_back(std::make_unique<Member>(seed, config, power_w));
       alone.push_back(std::make_unique<Member>(seed, config, power_w));
-      members.push_back({&cohort.back()->model, &cohort.back()->device});
+      members.push_back({&cohort.back()->model, &cohort.back()->backend});
     }
     engine::IntermittentEngine engine(members);
 
@@ -462,10 +464,10 @@ TEST(EngineCohort, EnvelopeAppliesFromTwoMembers) {
   Member b(2, config, power::SupplyPresets::kContinuousW);
   telemetry::RegistrySink sink;
   a.device.set_trace_sink(&sink);
-  const engine::CohortMember one[] = {{&a.model, &a.device}};
+  const engine::CohortMember one[] = {{&a.model, &a.backend}};
   EXPECT_NO_THROW(engine::IntermittentEngine{one});
-  const engine::CohortMember two[] = {{&a.model, &a.device},
-                                      {&b.model, &b.device}};
+  const engine::CohortMember two[] = {{&a.model, &a.backend},
+                                      {&b.model, &b.backend}};
   EXPECT_THROW(engine::IntermittentEngine{two}, std::invalid_argument);
   a.device.set_trace_sink(nullptr);
   EXPECT_NO_THROW(engine::IntermittentEngine{two});

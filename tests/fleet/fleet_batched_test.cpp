@@ -254,6 +254,96 @@ TEST(FleetBatched, TornCommitsReplayIdenticallyInCohorts) {
   }
 }
 
+/// A fleet of three devices of the one group `group`, `inferences` each.
+FleetSpec three_of(const std::string& group, std::size_t inferences) {
+  FleetSpec spec;
+  spec.inferences = inferences;
+  spec.groups = {DeviceGroup::parse("name=g count=3 " + group)};
+  return spec;
+}
+
+/// run_cohort over `devices`, checked field by field against run_device.
+std::vector<DeviceResult> cohort_matching_standalone(
+    std::span<const DeviceSpec> devices) {
+  for (const DeviceSpec& d : devices) {
+    EXPECT_TRUE(batched_eligible(d));
+  }
+  std::vector<DeviceResult> cohort = run_cohort(devices);
+  EXPECT_EQ(cohort.size(), devices.size());
+  for (std::size_t m = 0; m < cohort.size() && m < devices.size(); ++m) {
+    SCOPED_TRACE(m);
+    expect_identical(cohort[m], run_device(devices[m]));
+  }
+  return cohort;
+}
+
+// Each way a round ends a device, pinned cohort against standalone: the
+// restart budget, the event-budget watchdog and the deadline end every
+// member in the same round as its standalone run.
+TEST(FleetBatched, RestartBudgetEndsEveryMember) {
+  const FleetSpec spec = three_of(
+      "model=tiny mode=accumulate supply=continuous schedule=every:40", 2);
+  const std::vector<DeviceSpec> devices = spec.resolve();
+  for (const DeviceResult& r : cohort_matching_standalone(devices)) {
+    EXPECT_TRUE(r.failed);
+    EXPECT_EQ(r.error, "inference exceeded the engine restart budget");
+    EXPECT_EQ(r.inferences_done, 0u);
+  }
+}
+
+TEST(FleetBatched, WatchdogEndsEveryMember) {
+  FleetSpec spec = three_of("model=tiny mode=immediate supply=continuous", 4);
+  spec.event_budget = 200;
+  const std::vector<DeviceSpec> devices = spec.resolve();
+  for (const DeviceResult& r : cohort_matching_standalone(devices)) {
+    EXPECT_TRUE(r.failed);
+    EXPECT_NE(r.error.find("event budget exhausted"), std::string::npos)
+        << r.error;
+    EXPECT_EQ(r.inferences_done, 1u);
+  }
+}
+
+TEST(FleetBatched, DeadlineEndsEveryMember) {
+  FleetSpec spec = three_of("model=tiny mode=immediate supply=weak", 6);
+  spec.deadline_s = 0.005;
+  const std::vector<DeviceSpec> devices = spec.resolve();
+  const std::vector<DeviceResult> cohort =
+      cohort_matching_standalone(devices);
+  for (const DeviceResult& r : cohort) {
+    EXPECT_TRUE(r.deadline_missed);
+    EXPECT_FALSE(r.failed);
+    EXPECT_EQ(r.inferences_done, 3u);
+  }
+  EXPECT_NE(cohort[0].logits_checksum, cohort[1].logits_checksum);
+}
+
+// A cohort the engine rejects steps the sims it built, and a one-device
+// span is one stepped sim; both match standalone runs.
+TEST(FleetBatched, IncompatibleCohortStepsEachMember) {
+  FleetSpec spec;
+  spec.inferences = 2;
+  spec.groups = {DeviceGroup::parse("name=a count=1 model=tiny"),
+                 DeviceGroup::parse("name=b count=1 model=multipath")};
+  const std::vector<DeviceSpec> devices = spec.resolve();
+  for (const DeviceResult& r : cohort_matching_standalone(devices)) {
+    EXPECT_TRUE(r.completed);
+  }
+  (void)cohort_matching_standalone(std::span(devices.data(), 1));
+}
+
+// parse() rejects inferences=0, a programmatic spec does not: such a
+// device completes without running, alone or in a cohort.
+TEST(FleetBatched, ZeroInferencesCompleteWithoutRunning) {
+  const FleetSpec spec = three_of("model=tiny mode=immediate supply=strong", 0);
+  const std::vector<DeviceSpec> devices = spec.resolve();
+  for (const DeviceResult& r : cohort_matching_standalone(devices)) {
+    EXPECT_TRUE(r.completed);
+    EXPECT_FALSE(r.failed);
+    EXPECT_EQ(r.inferences_done, 0u);
+    EXPECT_EQ(r.events, 0u);
+  }
+}
+
 TEST(FleetBatched, IneligibleSpecsFallBackAndStillMatch) {
   // Random schedules are re-seeded per device: never lockstep-eligible.
   FleetSpec spec = test_spec(SimKind::kBatched);
