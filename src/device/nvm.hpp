@@ -1,7 +1,15 @@
 #pragma once
 // Byte-addressable non-volatile memory (external FRAM). Contents persist
 // across simulated power failures. A bump allocator hands out regions to
-// the deployment step; reads/writes are bounds-checked.
+// the deployment step; reads/writes are bounds-checked against the
+// capacity.
+//
+// Backing store: the whole capacity is allocated once and left
+// uninitialised, and zero-filled only as far as the furthest byte
+// allocated or written (the extent). Bytes past the extent were never
+// written, so they read as zero — what the image holds there — without
+// growing the store. A 512 KB device that deploys a few KB touches a few
+// KB of host memory.
 //
 // Data integrity: an optional CorruptionModel (corruption.hpp) perturbs
 // every store and load (seeded bit flips, stuck-at cells), and multi-part
@@ -13,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -70,11 +79,16 @@ using Address = std::size_t;
 class Nvm {
  public:
   explicit Nvm(std::size_t capacity_bytes);
+  // Move-only: a copy could not keep raw_storage() fixed as it grows.
+  Nvm(const Nvm&) = delete;
+  Nvm& operator=(const Nvm&) = delete;
+  Nvm(Nvm&&) noexcept = default;
+  Nvm& operator=(Nvm&&) noexcept = default;
 
-  [[nodiscard]] std::size_t capacity() const { return storage_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t allocated() const { return next_free_; }
   [[nodiscard]] std::size_t free_bytes() const {
-    return storage_.size() - next_free_;
+    return capacity_ - next_free_;
   }
 
   /// Allocate a region (2-byte aligned, matching the 16-bit device).
@@ -134,33 +148,47 @@ class Nvm {
 
   /// Direct pointer to the backing store — the lockstep-cohort fast path.
   /// Callers take over the bounds discipline (deployment-issued addresses
-  /// only) and must not hold it while a corruption model is installed:
-  /// raw accesses bypass the fault stream. The storage never reallocates,
-  /// so the pointer stays valid for the Nvm's lifetime.
-  [[nodiscard]] std::uint8_t* raw_storage() { return storage_.data(); }
+  /// only: allocate() zero-fills every region it hands out) and must not
+  /// hold it while a corruption model is installed: raw accesses bypass
+  /// the fault stream. The whole capacity is reserved up front and the
+  /// extent grows in place, so the pointer stays valid for the Nvm's
+  /// lifetime.
+  [[nodiscard]] std::uint8_t* raw_storage() { return storage_.get(); }
   [[nodiscard]] const std::uint8_t* raw_storage() const {
-    return storage_.data();
+    return storage_.get();
   }
 
  private:
-  void check(Address addr, std::size_t bytes) const {
-    // Two-step comparison: `addr + bytes` can wrap std::size_t near
-    // SIZE_MAX and sail past the bound.
-    if (addr > storage_.size() || bytes > storage_.size() - addr) {
-      out_of_range(addr, bytes);  // out-of-line cold throw path
-    }
+  /// The inline bounds check, against the zero-filled extent. Two-step
+  /// comparison: `addr + bytes` can wrap std::size_t near SIZE_MAX and
+  /// sail past the bound. A miss takes an out-of-line path that checks
+  /// the capacity.
+  [[nodiscard]] bool within_extent(Address addr, std::size_t bytes) const {
+    return addr <= extent_ && bytes <= extent_ - addr;
   }
-  [[noreturn]] void out_of_range(Address addr, std::size_t bytes) const;
+  /// Throws std::out_of_range unless [addr, addr + bytes) lies within
+  /// the capacity.
+  void check_capacity(Address addr, std::size_t bytes) const;
+
+  /// Zero-fill the store from the extent up to `end` (> extent_).
+  void extend_to(std::size_t end);
+  /// Cold paths of a miss: a write past the extent grows it; a read past
+  /// it yields the held bytes, then zeros, then the corruption model's
+  /// read faults. Both throw out_of_range past the capacity.
+  void extend_for(Address addr, std::size_t bytes);
+  void load_past_extent(Address addr, std::span<std::uint8_t> bytes) const;
 
   // Zero-length accesses are bounds-checked and then touch nothing: an
   // empty span may carry a null data pointer, which memcpy must not see
   // (and the corruption model draws nothing for zero bytes anyway).
   void store(Address addr, std::span<const std::uint8_t> bytes) {
-    check(addr, bytes.size());
+    if (!within_extent(addr, bytes.size())) [[unlikely]] {
+      extend_for(addr, bytes.size());
+    }
     if (bytes.empty()) {
       return;
     }
-    std::uint8_t* cell = storage_.data() + addr;
+    std::uint8_t* cell = storage_.get() + addr;
     std::memcpy(cell, bytes.data(), bytes.size());
     if (corruption_ != nullptr) {
       corruption_->corrupt_write(addr, {cell, bytes.size()});
@@ -168,11 +196,14 @@ class Nvm {
   }
 
   void load(Address addr, std::span<std::uint8_t> bytes) const {
-    check(addr, bytes.size());
+    if (!within_extent(addr, bytes.size())) [[unlikely]] {
+      load_past_extent(addr, bytes);
+      return;
+    }
     if (bytes.empty()) {
       return;
     }
-    std::memcpy(bytes.data(), storage_.data() + addr, bytes.size());
+    std::memcpy(bytes.data(), storage_.get() + addr, bytes.size());
     if (corruption_ != nullptr) {
       corruption_->corrupt_read(addr, bytes);
     }
@@ -183,20 +214,28 @@ class Nvm {
   /// streams advance exactly as before.
   template <typename T>
   [[nodiscard]] T read_scalar(Address addr) const {
-    check(addr, sizeof(T));
     T value;
-    if (corruption_ == nullptr) {
-      std::memcpy(&value, storage_.data() + addr, sizeof(T));
+    std::uint8_t raw[sizeof(T)];
+    if (!within_extent(addr, sizeof(T))) [[unlikely]] {
+      load_past_extent(addr, raw);
+      std::memcpy(&value, raw, sizeof(T));
       return value;
     }
-    std::uint8_t raw[sizeof(T)];
-    std::memcpy(raw, storage_.data() + addr, sizeof(T));
+    if (corruption_ == nullptr) {
+      std::memcpy(&value, storage_.get() + addr, sizeof(T));
+      return value;
+    }
+    std::memcpy(raw, storage_.get() + addr, sizeof(T));
     corruption_->corrupt_read(addr, raw);
     std::memcpy(&value, raw, sizeof(T));
     return value;
   }
 
-  std::vector<std::uint8_t> storage_;
+  /// `capacity_` bytes of address space; only [0, extent_) is
+  /// initialised, and extent_ never shrinks.
+  std::unique_ptr<std::uint8_t[]> storage_;
+  std::size_t capacity_ = 0;
+  std::size_t extent_ = 0;
   std::size_t next_free_ = 0;
   CorruptionModel* corruption_ = nullptr;
 };

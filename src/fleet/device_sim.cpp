@@ -91,12 +91,16 @@ DeviceSim::DeviceSim(const DeviceSpec& spec)
     sink_ = std::make_unique<telemetry::RegistrySink>();
     backend_->set_trace_sink(sink_.get());
   }
-
-  engine_ = std::make_unique<engine::IntermittentEngine>(*model_, *backend_);
 }
 
 bool DeviceSim::step() {
   if (!done_) {
+    // Built on the first step: a cohort member runs through the cohort's
+    // engine and never needs one of its own.
+    if (engine_ == nullptr) {
+      engine_ =
+          std::make_unique<engine::IntermittentEngine>(*model_, *backend_);
+    }
     DeviceSim* const self[] = {this};
     step_all(self, *engine_);
   }

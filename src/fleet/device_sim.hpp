@@ -123,6 +123,8 @@ class DeviceSim {
   std::unique_ptr<device::CorruptionModel> corruption_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<telemetry::RegistrySink> sink_;
+  /// The sim's own engine, built by the first step(); cohort members,
+  /// which run through the cohort's engine, never build one.
   std::unique_ptr<engine::IntermittentEngine> engine_;
   std::size_t next_ = 0;
   bool done_ = false;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "device/corruption.hpp"
@@ -105,6 +108,109 @@ TEST(Nvm, AllocateNearSizeMaxThrowsInsteadOfWrapping) {
   EXPECT_THROW(nvm.allocate(65), std::runtime_error);
   EXPECT_EQ(nvm.allocated(), 0u);
   EXPECT_NO_THROW(nvm.allocate(64));
+}
+
+// The backing store is zero-filled only as far as it is used; bytes never
+// written read as zero anywhere in capacity, whichever accessor reads them.
+TEST(Nvm, UnwrittenBytesReadAsZeroAnywhereInCapacity) {
+  Nvm nvm(4096);
+  const Address a = nvm.allocate(10);
+  nvm.write_i16(a, -1);
+  nvm.write_i16(a + 8, -1);  // the last allocated bytes
+  for (const Address addr : {Address{2}, Address{64}, Address{4092}}) {
+    EXPECT_EQ(nvm.read_i16(addr), 0) << addr;
+    EXPECT_EQ(nvm.read_i32(addr), 0) << addr;
+    EXPECT_EQ(nvm.read_u32(addr), 0u) << addr;
+    EXPECT_EQ(nvm.peek(addr), 0) << addr;
+    std::uint8_t buf[4] = {1, 1, 1, 1};
+    nvm.read(addr, buf);
+    EXPECT_EQ(std::vector<std::uint8_t>(buf, buf + 4),
+              std::vector<std::uint8_t>(4, 0))
+        << addr;
+  }
+  EXPECT_EQ(nvm.peek(4095), 0);
+  // One span straddling the end of the written extent: held bytes, then
+  // zeros.
+  std::uint8_t span[6] = {7, 7, 7, 7, 7, 7};
+  nvm.read(a + 8, span);
+  EXPECT_EQ(std::vector<std::uint8_t>(span, span + 6),
+            (std::vector<std::uint8_t>{0xFF, 0xFF, 0, 0, 0, 0}));
+  EXPECT_EQ(nvm.read_i32(a + 8), 0x0000FFFF);
+  EXPECT_EQ(nvm.allocated(), 10u);  // reads allocate nothing
+}
+
+TEST(Nvm, WriteToLastByteWithNothingAllocatedReadsBack) {
+  Nvm nvm(1024);
+  const std::uint8_t byte[1] = {0x5A};
+  EXPECT_NO_THROW(nvm.write(1023, byte));
+  EXPECT_EQ(nvm.peek(1023), 0x5A);
+  EXPECT_EQ(nvm.peek(1022), 0);
+  EXPECT_EQ(nvm.read_i16(1022), 0x5A00);
+  EXPECT_EQ(nvm.allocated(), 0u);
+  EXPECT_THROW(nvm.write(1024, byte), std::out_of_range);
+  EXPECT_THROW((void)nvm.peek(1024), std::out_of_range);
+}
+
+// The lockstep cohort caches raw_storage() when it is built, so growing
+// the zero-filled extent must never move the store.
+TEST(Nvm, RawStorageNeverMoves) {
+  Nvm nvm(512 * 1024);
+  const std::uint8_t* const raw = nvm.raw_storage();
+  ASSERT_NE(raw, nullptr);
+  Address last = 0;
+  for (std::size_t bytes : {100u, 4096u, 60000u, 7u}) {
+    last = nvm.allocate(bytes);
+    EXPECT_EQ(nvm.raw_storage(), raw);
+  }
+  nvm.write_i32(500 * 1024, 1);  // far past the allocated extent
+  EXPECT_EQ(nvm.raw_storage(), raw);
+  const std::int16_t value = -4242;
+  std::memcpy(nvm.raw_storage() + last, &value, 2);
+  EXPECT_EQ(nvm.read_i16(last), -4242);
+
+  Nvm moved(std::move(nvm));
+  EXPECT_EQ(moved.raw_storage(), raw);
+  EXPECT_EQ(moved.read_i16(last), -4242);
+}
+
+TEST(Nvm, ResetZeroesWritesPastTheAllocatedExtent) {
+  Nvm nvm(1024);
+  const Address a = nvm.allocate(8);
+  nvm.write_i32(a, 0x12345678);
+  nvm.write_i32(800, 0x0BADF00D);  // written, never allocated
+  nvm.reset();
+  EXPECT_EQ(nvm.allocated(), 0u);
+  EXPECT_EQ(nvm.read_i32(a), 0);
+  EXPECT_EQ(nvm.read_i32(800), 0);
+  EXPECT_EQ(nvm.peek(803), 0);
+}
+
+// A read past the extent hands the corruption model the bytes the image
+// holds there (zeros), so fault streams advance exactly as over cells
+// that were explicitly zeroed.
+TEST(Nvm, ReadFaultsPastTheExtentMatchZeroedCells) {
+  CorruptionConfig cfg;
+  cfg.seed = 13;
+  cfg.read_ber = 0.25;
+  cfg.stuck.push_back({/*addr=*/40, /*bit=*/3, /*value=*/true});
+  const auto run = [&](bool zero_first) {
+    Nvm nvm(256);
+    if (zero_first) {
+      nvm.write(0, std::vector<std::uint8_t>(256, 0));
+    }
+    CorruptionModel model(cfg);
+    nvm.set_corruption(&model);
+    std::vector<std::uint8_t> bytes(64);
+    nvm.read(8, bytes);
+    const std::int16_t i16 = nvm.read_i16(100);
+    const std::uint32_t u32 = nvm.read_u32(200);
+    nvm.set_corruption(nullptr);
+    return std::make_tuple(bytes, i16, u32, model.read_flips());
+  };
+  const auto zeroed = run(true);
+  EXPECT_EQ(run(false), zeroed);
+  EXPECT_GT(std::get<3>(zeroed), 0u);
+  EXPECT_NE(std::get<0>(zeroed)[40 - 8] & 0x08, 0);  // the stuck bit
 }
 
 TEST(WriteBatch, TracksPartsAndTotalBytes) {

@@ -450,6 +450,18 @@ TEST(EngineCohort, MembersMatchTheirStandaloneRuns) {
       EXPECT_GT(results[0].stats.power_failures, 0u);
     }
     EXPECT_NE(results[0].logits, results[1].logits);
+    // Followers write straight into their own backing stores: after the
+    // run, every member's NVM image equals its standalone twin's.
+    for (std::size_t m = 0; m < 3; ++m) {
+      const device::Nvm& got = cohort[m]->device.nvm();
+      const device::Nvm& want = alone[m]->device.nvm();
+      ASSERT_EQ(got.allocated(), want.allocated()) << "member " << m;
+      std::vector<std::uint8_t> got_image(got.allocated());
+      std::vector<std::uint8_t> want_image(want.allocated());
+      got.read(0, got_image);
+      want.read(0, want_image);
+      EXPECT_EQ(got_image, want_image) << "member " << m;
+    }
     // A cohort runs only through run_quantized.
     EXPECT_THROW((void)engine.run(slice_sample(batch, 0)),
                  std::invalid_argument);
