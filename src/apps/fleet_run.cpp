@@ -18,7 +18,6 @@
 
 #include "apps/cli_args.hpp"
 #include "fleet/orchestrator.hpp"
-#include "scenario/scenario.hpp"
 
 namespace {
 
@@ -104,7 +103,7 @@ int main(int argc, char** argv) {
     if (!spec_path.empty() && have_devices) {
       // Strict rescale: silently dropping a group scaled to zero devices
       // would simulate a different fleet than the spec describes.
-      spec = scenario::rescale_strict(spec, devices);
+      spec = fleet::rescale_strict(spec, devices);
     }
     if (have_seed) {
       spec.seed = seed;
@@ -118,27 +117,13 @@ int main(int argc, char** argv) {
     }
     // Post-flag validation: CLI overrides mutate the parsed spec, so the
     // parse-time range checks alone no longer cover what actually runs.
-    scenario::validate_fleet(spec);
+    spec.validate();
     if (print_spec) {
       std::fputs(spec.describe().c_str(), stdout);
       return 0;
     }
 
-    fleet::MultiGateway gateway;
-    if (gateway_kind == "csv" || gateway_kind == "all") {
-      gateway.add_owned(std::make_unique<fleet::CsvGateway>(out_dir));
-    }
-    if (gateway_kind == "prom" || gateway_kind == "all") {
-      gateway.add_owned(std::make_unique<fleet::PrometheusGateway>(
-          out_dir + "/fleet_metrics.prom"));
-    }
-    if (gateway_kind != "null" && gateway_kind != "csv" &&
-        gateway_kind != "prom" && gateway_kind != "all") {
-      std::fprintf(stderr, "%s: unknown gateway '%s'\n", argv[0],
-                   gateway_kind.c_str());
-      return 2;
-    }
-
+    fleet::MultiGateway gateway = fleet::make_gateway(gateway_kind, out_dir);
     const fleet::FleetOrchestrator orchestrator(spec);
     const fleet::FleetResult result = orchestrator.run(nullptr, &gateway);
 

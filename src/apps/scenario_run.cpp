@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <memory>
 #include <string>
 
 #include "scenario/runner.hpp"
@@ -88,21 +87,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    fleet::MultiGateway gateway;
-    if (gateway_kind == "csv" || gateway_kind == "all") {
-      gateway.add_owned(std::make_unique<fleet::CsvGateway>(out_dir));
-    }
-    if (gateway_kind == "prom" || gateway_kind == "all") {
-      gateway.add_owned(std::make_unique<fleet::PrometheusGateway>(
-          out_dir + "/fleet_metrics.prom"));
-    }
-    if (gateway_kind != "null" && gateway_kind != "csv" &&
-        gateway_kind != "prom" && gateway_kind != "all") {
-      std::fprintf(stderr, "%s: unknown gateway '%s'\n", argv[0],
-                   gateway_kind.c_str());
-      return 2;
-    }
-
+    fleet::MultiGateway gateway = fleet::make_gateway(gateway_kind, out_dir);
     scenario::RunOptions options;
     if (gateway_kind != "null") {
       options.gateway = &gateway;

@@ -299,4 +299,19 @@ std::string MultiGateway::describe() const {
   return out + "]";
 }
 
+MultiGateway make_gateway(const std::string& kind, const std::string& dir) {
+  if (kind != "null" && kind != "csv" && kind != "prom" && kind != "all") {
+    throw std::invalid_argument("unknown gateway '" + kind + "'");
+  }
+  MultiGateway gateway;
+  if (kind == "csv" || kind == "all") {
+    gateway.add_owned(std::make_unique<CsvGateway>(dir));
+  }
+  if (kind == "prom" || kind == "all") {
+    gateway.add_owned(
+        std::make_unique<PrometheusGateway>(dir + "/fleet_metrics.prom"));
+  }
+  return gateway;
+}
+
 }  // namespace iprune::fleet

@@ -16,6 +16,8 @@
 //                      format v0.0.4 — drop it in a node_exporter textfile
 //                      collector directory to scrape a fleet run
 //   MultiGateway       fan out to several sinks
+//
+// make_gateway() builds the MultiGateway a `--gateway KIND` flag names.
 
 #include <memory>
 #include <string>
@@ -100,5 +102,12 @@ class MultiGateway final : public MetricsGateway {
   std::vector<MetricsGateway*> children_;
   std::vector<std::unique_ptr<MetricsGateway>> owned_;
 };
+
+/// The gateway `kind` names: "null" (no children), "csv" (CsvGateway over
+/// `dir`), "prom" (PrometheusGateway at `<dir>/fleet_metrics.prom`) or
+/// "all" (both, csv first). Throws std::invalid_argument
+/// ("unknown gateway '<kind>'") for any other kind.
+[[nodiscard]] MultiGateway make_gateway(const std::string& kind,
+                                        const std::string& dir);
 
 }  // namespace iprune::fleet

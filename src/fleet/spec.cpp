@@ -461,13 +461,76 @@ std::string DeviceGroup::describe() const {
   return out;
 }
 
+namespace {
+
+/// [0, 1], NaN excluded (it fails both comparisons).
+bool in_unit_interval(double value) { return value >= 0.0 && value <= 1.0; }
+
+[[noreturn]] void group_error(const std::string& name,
+                              const std::string& why) {
+  throw std::invalid_argument("fleet spec: group '" + name + "' " + why);
+}
+
+}  // namespace
+
+bool valid_name(const std::string& name) {
+  if (name.empty()) {
+    return false;
+  }
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '.' ||
+                    c == '-';
+    if (!ok) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void DeviceGroup::validate() const {
+  if (name.empty()) {
+    throw std::invalid_argument("fleet spec: group line needs a name");
+  }
+  if (!valid_name(name)) {
+    group_error(name, "name must match [A-Za-z0-9_.-]+");
+  }
+  if (count == 0) {
+    group_error(name, "has count=0");
+  }
+  if (!in_unit_interval(write_ber) || !in_unit_interval(read_ber)) {
+    group_error(name, "bit-error rates must be in [0, 1]");
+  }
+  power.validate();
+  // Hand-built schedules skip the range checks OutageSchedule::parse makes.
+  if (schedule.mode == fault::ScheduleMode::kEveryNth &&
+      schedule.every_n == 0) {
+    group_error(name, "outage period must be >= 1");
+  }
+  if (schedule.mode == fault::ScheduleMode::kRandom &&
+      !in_unit_interval(schedule.probability)) {
+    group_error(name, "outage probability must be in [0, 1]");
+  }
+  // The functional backend has no power model: harvest profiles and
+  // outage schedules cannot apply to it, so reject specs that pretend
+  // otherwise instead of silently ignoring the fields.
+  if (backend.kind == engine::BackendKind::kFunctional) {
+    if (power.kind != PowerProfile::Kind::kContinuous) {
+      group_error(name,
+                  "backend=functional requires supply=continuous (no power "
+                  "model)");
+    }
+    if (schedule.mode != fault::ScheduleMode::kNone) {
+      group_error(name, "backend=functional cannot take an outage schedule");
+    }
+  }
+}
+
 DeviceGroup DeviceGroup::parse(const std::string& text) {
   DeviceGroup group;
-  bool named = false;
   for (const auto& [key, value] : parse_fields(text)) {
     if (key == "name") {
       group.name = value;
-      named = true;
     } else if (key == "count") {
       group.count = static_cast<std::size_t>(parse_u64(value, "count"));
     } else if (key == "model") {
@@ -496,33 +559,7 @@ DeviceGroup DeviceGroup::parse(const std::string& text) {
                                   "'");
     }
   }
-  if (!named || group.name.empty()) {
-    throw std::invalid_argument("fleet spec: group line needs a name");
-  }
-  if (group.count == 0) {
-    throw std::invalid_argument("fleet spec: group '" + group.name +
-                                "' has count=0");
-  }
-  if (group.write_ber < 0.0 || group.write_ber > 1.0 ||
-      group.read_ber < 0.0 || group.read_ber > 1.0) {
-    throw std::invalid_argument("fleet spec: group '" + group.name +
-                                "' bit-error rates must be in [0, 1]");
-  }
-  // The functional backend has no power model: harvest profiles and
-  // outage schedules cannot apply to it, so reject specs that pretend
-  // otherwise instead of silently ignoring the fields.
-  if (group.backend.kind == engine::BackendKind::kFunctional) {
-    if (group.power.kind != PowerProfile::Kind::kContinuous) {
-      throw std::invalid_argument(
-          "fleet spec: group '" + group.name +
-          "' backend=functional requires supply=continuous (no power model)");
-    }
-    if (group.schedule.mode != fault::ScheduleMode::kNone) {
-      throw std::invalid_argument(
-          "fleet spec: group '" + group.name +
-          "' backend=functional cannot take an outage schedule");
-    }
-  }
+  group.validate();
   return group;
 }
 
@@ -532,6 +569,34 @@ std::size_t FleetSpec::total_devices() const {
     total += group.count;
   }
   return total;
+}
+
+void FleetSpec::validate() const {
+  if (groups.empty()) {
+    throw std::invalid_argument("fleet spec: no group: lines");
+  }
+  if (inferences == 0) {
+    throw std::invalid_argument("fleet spec: inferences must be >= 1");
+  }
+  if (batch == 0) {
+    throw std::invalid_argument("fleet spec: batch must be >= 1");
+  }
+  if (event_budget == 0) {
+    throw std::invalid_argument("fleet spec: event_budget must be >= 1");
+  }
+  if (!std::isfinite(deadline_s) || deadline_s < 0.0) {
+    throw std::invalid_argument(
+        "fleet spec: deadline_s must be finite and >= 0");
+  }
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    groups[i].validate();
+    for (std::size_t j = 0; j < i; ++j) {
+      if (groups[j].name == groups[i].name) {
+        throw std::invalid_argument("fleet spec: duplicate group name '" +
+                                    groups[i].name + "'");
+      }
+    }
+  }
 }
 
 FleetSpec FleetSpec::with_devices(std::size_t n) const {
@@ -684,15 +749,7 @@ FleetSpec FleetSpec::parse(const std::string& text) {
           " must start with 'fleet:', 'group:', or '#'");
     }
   }
-  if (spec.groups.empty()) {
-    throw std::invalid_argument("fleet spec: no group: lines");
-  }
-  if (spec.inferences == 0) {
-    throw std::invalid_argument("fleet spec: inferences must be >= 1");
-  }
-  if (spec.batch == 0) {
-    throw std::invalid_argument("fleet spec: batch must be >= 1");
-  }
+  spec.validate();
   return spec;
 }
 
@@ -760,6 +817,35 @@ FleetSpec FleetSpec::example(std::size_t devices) {
 
   spec.groups = {mains, strong, weak, solar, harsh, faulty};
   return spec.with_devices(devices);
+}
+
+FleetSpec rescale_strict(const FleetSpec& spec, std::size_t devices) {
+  // Validated first: with duplicate names the dropped-group walk below
+  // could blame the wrong group.
+  spec.validate();
+  const FleetSpec scaled = spec.with_devices(devices);
+  if (scaled.groups.size() != spec.groups.size()) {
+    // with_devices preserves group order, so the dropped names are the
+    // ones missing from the scaled walk.
+    std::string dropped;
+    std::size_t kept = 0;
+    for (const DeviceGroup& group : spec.groups) {
+      if (kept < scaled.groups.size() &&
+          scaled.groups[kept].name == group.name) {
+        ++kept;
+        continue;
+      }
+      if (!dropped.empty()) {
+        dropped += ", ";
+      }
+      dropped += "'" + group.name + "'";
+    }
+    throw std::invalid_argument(
+        "fleet spec: rescaling to " + std::to_string(devices) +
+        " devices would drop group(s) " + dropped +
+        " — raise the device count or remove the group");
+  }
+  return scaled;
 }
 
 }  // namespace iprune::fleet

@@ -97,7 +97,7 @@ struct PowerProfile {
 
   /// Range-check every parameter of the active kind; throws
   /// std::invalid_argument with a "fleet spec: supply ..." message naming
-  /// the offending field. parse() and the scenario validator both call
+  /// the offending field. parse() and DeviceGroup::validate() both call
   /// this, so a profile that parses (or validates) always make()s.
   void validate() const;
 
@@ -123,6 +123,10 @@ enum class IntegrityMode : std::uint8_t {
 const char* integrity_mode_name(IntegrityMode mode);
 IntegrityMode parse_integrity_mode(const std::string& name);
 
+/// True when `name` is non-empty and matches [A-Za-z0-9_.-]+: safe as a
+/// Prometheus label value, a CSV field and a file name.
+[[nodiscard]] bool valid_name(const std::string& name);
+
 /// One homogeneous slice of the fleet.
 struct DeviceGroup {
   std::string name;
@@ -145,8 +149,15 @@ struct DeviceGroup {
   IntegrityMode integrity = IntegrityMode::kAuto;
   /// Device backend preset ("msp430-fram" default, omitted from
   /// describe()). Functional groups have no power model: they require
-  /// supply=continuous and forbid an outage schedule (parse validates).
+  /// supply=continuous and forbid an outage schedule (validate() checks).
   engine::BackendConfig backend = engine::BackendConfig::msp430_fram();
+
+  /// Range-check the group: a name matching valid_name(), count >= 1,
+  /// finite bit-error rates in [0, 1], PowerProfile::validate(), outage
+  /// period >= 1 and probability in [0, 1], and the functional backend's
+  /// limits. Throws std::invalid_argument with a "fleet spec: ..." message
+  /// naming the group. parse() always validates.
+  void validate() const;
 
   [[nodiscard]] std::string describe() const;
   static DeviceGroup parse(const std::string& text);
@@ -202,6 +213,14 @@ struct FleetSpec {
 
   [[nodiscard]] std::size_t total_devices() const;
 
+  /// Range-check the whole spec: at least one group; inferences, batch and
+  /// event_budget >= 1; deadline_s finite and >= 0; every group's
+  /// DeviceGroup::validate(); unique group names (gateways aggregate by
+  /// name). Throws std::invalid_argument with a "fleet spec: ..." message.
+  /// parse() always validates; specs built or changed in code (CLI flag
+  /// overrides, scenario documents) call it themselves.
+  void validate() const;
+
   /// Rescale group counts to `n` total devices, proportional to the
   /// existing counts (largest-remainder rounding, ties to earlier groups).
   /// Group order is preserved; n >= 1 required.
@@ -222,5 +241,12 @@ struct FleetSpec {
 
   bool operator==(const FleetSpec& other) const = default;
 };
+
+/// FleetSpec::with_devices that refuses to silently drop groups: validates
+/// `spec` first, then, when rescaling to `devices` would apportion zero
+/// devices to some group, throws naming every dropped group instead of
+/// returning a smaller fleet.
+[[nodiscard]] FleetSpec rescale_strict(const FleetSpec& spec,
+                                       std::size_t devices);
 
 }  // namespace iprune::fleet

@@ -255,9 +255,8 @@ Scenario shrink_scenario(
     if (best.batch != defaults.batch) {
       try_mutation([&](Scenario& s) { s.batch = defaults.batch; });
     }
-    if (best.event_budget != Scenario::kDefaultEventBudget) {
-      try_mutation(
-          [](Scenario& s) { s.event_budget = Scenario::kDefaultEventBudget; });
+    if (best.event_budget != defaults.event_budget) {
+      try_mutation([&](Scenario& s) { s.event_budget = defaults.event_budget; });
     }
     for (std::size_t i = 0; best.sims.size() > 1 && i < best.sims.size();) {
       Scenario candidate = best;

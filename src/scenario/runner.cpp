@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "fault/checker.hpp"
@@ -99,14 +100,23 @@ CheckOutcome check_lane_determinism(const Scenario& scenario,
   return outcome;
 }
 
-CheckOutcome check_consistency(const Scenario& scenario,
-                               const RunOptions& options) {
-  CheckOutcome outcome{Check::kConsistency, true, ""};
+/// The differential checks' shared loop: replays each group that
+/// `qualifies`, up to options.max_differential of them, through
+/// `check_group(group, index, testbed)` on one testbed per model.
+/// `index` counts *all* groups, qualifying or not. check_group returns a
+/// failure detail, or nothing when the group passes.
+template <typename CheckGroup>
+CheckOutcome check_groups(Check kind, const Scenario& scenario,
+                          const RunOptions& options,
+                          bool (*qualifies)(const fleet::DeviceGroup&),
+                          const CheckGroup& check_group) {
+  CheckOutcome outcome{kind, true, ""};
   std::map<fleet::ModelKind, Testbed> testbeds;
   std::size_t checked = 0;
   std::size_t skipped = 0;
-  for (const fleet::DeviceGroup& group : scenario.groups) {
-    if (!forces_clean_outages(group)) {
+  for (std::size_t index = 0; index < scenario.groups.size(); ++index) {
+    const fleet::DeviceGroup& group = scenario.groups[index];
+    if (!qualifies(group)) {
       continue;
     }
     if (checked >= options.max_differential) {
@@ -121,21 +131,14 @@ CheckOutcome check_consistency(const Scenario& scenario,
                         make_testbed(group.model, scenario.seed))
                .first;
     }
-    const Testbed& bed = it->second;
-    const fault::ConsistencyChecker checker(bed.graph, bed.calibration);
-    fault::ScheduleOutcome result =
-        checker.check(bed.sample, group.schedule, group.mode);
-    if (!result.passed) {
-      if (options.shrink) {
-        result = checker.shrink(bed.sample, result);
-      }
+    const std::optional<std::string> failure =
+        check_group(group, index, it->second);
+    if (failure) {
       outcome.passed = false;
       if (!outcome.detail.empty()) {
         outcome.detail += "; ";
       }
-      outcome.detail += "group \"" + group.name + "\" (" +
-                        fleet::model_kind_name(group.model) +
-                        "): " + result.failure + " [" + result.repro() + "]";
+      outcome.detail += *failure;
     }
   }
   if (outcome.passed && skipped > 0) {
@@ -145,61 +148,52 @@ CheckOutcome check_consistency(const Scenario& scenario,
   return outcome;
 }
 
+CheckOutcome check_consistency(const Scenario& scenario,
+                               const RunOptions& options) {
+  return check_groups(
+      Check::kConsistency, scenario, options, forces_clean_outages,
+      [&](const fleet::DeviceGroup& group, std::size_t /*index*/,
+          const Testbed& bed) -> std::optional<std::string> {
+        const fault::ConsistencyChecker checker(bed.graph, bed.calibration);
+        fault::ScheduleOutcome result =
+            checker.check(bed.sample, group.schedule, group.mode);
+        if (result.passed) {
+          return std::nullopt;
+        }
+        if (options.shrink) {
+          result = checker.shrink(bed.sample, result);
+        }
+        return "group \"" + group.name + "\" (" +
+               fleet::model_kind_name(group.model) + "): " + result.failure +
+               " [" + result.repro() + "]";
+      });
+}
+
 CheckOutcome check_integrity(const Scenario& scenario,
                              const RunOptions& options) {
-  CheckOutcome outcome{Check::kIntegrity, true, ""};
-  std::map<fleet::ModelKind, Testbed> testbeds;
-  std::size_t checked = 0;
-  std::size_t skipped = 0;
-  std::size_t group_index = 0;
-  for (const fleet::DeviceGroup& group : scenario.groups) {
-    const std::size_t index = group_index++;
-    if (!injects_protected_corruption(group)) {
-      continue;
-    }
-    if (checked >= options.max_differential) {
-      ++skipped;
-      continue;
-    }
-    ++checked;
-    auto it = testbeds.find(group.model);
-    if (it == testbeds.end()) {
-      it = testbeds
-               .emplace(group.model,
-                        make_testbed(group.model, scenario.seed))
-               .first;
-    }
-    const Testbed& bed = it->second;
-    const fault::IntegrityChecker checker(bed.graph, bed.calibration);
-    fault::CorruptionScenario load;
-    load.label = group.name;
-    load.schedule = group.schedule;
-    load.seed = util::splitmix64_at(scenario.seed, index) | 1ull;
-    load.write_ber = group.write_ber;
-    load.read_ber = group.read_ber;
-    const fault::ScenarioOutcome result =
-        checker.check(bed.sample, load, group.mode, /*protect=*/true);
-    const bool contained =
-        result.verdict != fault::IntegrityVerdict::kSilent &&
-        result.verdict != fault::IntegrityVerdict::kCrashed;
-    if (!contained) {
-      outcome.passed = false;
-      if (!outcome.detail.empty()) {
-        outcome.detail += "; ";
-      }
-      outcome.detail +=
-          "group \"" + group.name + "\" (" +
-          fleet::model_kind_name(group.model) + ", mode=" +
-          fault::preservation_mode_name(group.mode) + "): " +
-          fault::integrity_verdict_name(result.verdict) +
-          (result.detail.empty() ? "" : " — " + result.detail);
-    }
-  }
-  if (outcome.passed && skipped > 0) {
-    outcome.detail =
-        std::to_string(skipped) + " qualifying group(s) beyond the cap";
-  }
-  return outcome;
+  return check_groups(
+      Check::kIntegrity, scenario, options, injects_protected_corruption,
+      [&](const fleet::DeviceGroup& group, std::size_t index,
+          const Testbed& bed) -> std::optional<std::string> {
+        const fault::IntegrityChecker checker(bed.graph, bed.calibration);
+        fault::CorruptionScenario load;
+        load.label = group.name;
+        load.schedule = group.schedule;
+        load.seed = util::splitmix64_at(scenario.seed, index) | 1ull;
+        load.write_ber = group.write_ber;
+        load.read_ber = group.read_ber;
+        const fault::ScenarioOutcome result =
+            checker.check(bed.sample, load, group.mode, /*protect=*/true);
+        if (result.verdict != fault::IntegrityVerdict::kSilent &&
+            result.verdict != fault::IntegrityVerdict::kCrashed) {
+          return std::nullopt;
+        }
+        return "group \"" + group.name + "\" (" +
+               fleet::model_kind_name(group.model) + ", mode=" +
+               fault::preservation_mode_name(group.mode) + "): " +
+               fault::integrity_verdict_name(result.verdict) +
+               (result.detail.empty() ? "" : " — " + result.detail);
+      });
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "scenario/scenario.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,41 +14,11 @@ namespace {
   throw std::invalid_argument("scenario: " + why);
 }
 
-bool valid_name(const std::string& name) {
-  if (name.empty()) {
-    return false;
-  }
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' ||
-                    c == '-';
-    if (!ok) {
-      return false;
-    }
-  }
-  return true;
-}
-
 fleet::SimKind parse_sim(const std::string& name) {
   try {
     return fleet::parse_sim_kind(name);
   } catch (const std::invalid_argument&) {
     scenario_error("unknown sim \"" + name + "\"");
-  }
-}
-
-/// Outage-schedule ranges FleetSpec::parse leaves to the factories.
-void validate_schedule(const fault::OutageSchedule& schedule,
-                       const std::string& owner) {
-  if (schedule.mode == fault::ScheduleMode::kEveryNth &&
-      schedule.every_n == 0) {
-    throw std::invalid_argument(owner + " outage period must be >= 1");
-  }
-  if (schedule.mode == fault::ScheduleMode::kRandom &&
-      (!std::isfinite(schedule.probability) || schedule.probability < 0.0 ||
-       schedule.probability > 1.0)) {
-    throw std::invalid_argument(owner +
-                                " outage probability must be in [0, 1]");
   }
 }
 
@@ -257,20 +225,8 @@ void Scenario::validate() const {
   if (name.empty()) {
     scenario_error("name is required");
   }
-  if (!valid_name(name)) {
+  if (!fleet::valid_name(name)) {
     scenario_error("name must match [A-Za-z0-9_.-]+");
-  }
-  if (inferences == 0) {
-    scenario_error("inferences must be >= 1");
-  }
-  if (batch == 0) {
-    scenario_error("batch must be >= 1");
-  }
-  if (event_budget == 0) {
-    scenario_error("event_budget must be >= 1");
-  }
-  if (!std::isfinite(deadline_s) || deadline_s < 0.0) {
-    scenario_error("deadline_s must be finite and >= 0");
   }
   for (std::size_t i = 0; i < sims.size(); ++i) {
     for (std::size_t j = i + 1; j < sims.size(); ++j) {
@@ -291,45 +247,17 @@ void Scenario::validate() const {
   if (groups.empty()) {
     scenario_error("at least one group is required");
   }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const fleet::DeviceGroup& group = groups[i];
-    if (group.name.empty()) {
-      scenario_error("group " + std::to_string(i) + " needs a name");
+  // Fleet fields and groups follow FleetSpec's rules, in its wording (the
+  // sim kind does not enter them).
+  to_fleet(fleet::SimKind::kStepping).validate();
+  // Bounded at every step: a plain sum of huge counts wraps below the cap.
+  constexpr std::size_t kMaxDevices = 65536;
+  std::size_t total = 0;
+  for (const fleet::DeviceGroup& group : groups) {
+    if (group.count > kMaxDevices - total) {
+      scenario_error("fleet exceeds 65536 devices");
     }
-    if (!valid_name(group.name)) {
-      scenario_error("group \"" + group.name +
-                     "\" name must match [A-Za-z0-9_.-]+");
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (groups[j].name == group.name) {
-        scenario_error("duplicate group name \"" + group.name + "\"");
-      }
-    }
-    if (group.count == 0) {
-      scenario_error("group \"" + group.name + "\" count must be >= 1");
-    }
-    if (group.write_ber < 0.0 || group.write_ber > 1.0 ||
-        group.read_ber < 0.0 || group.read_ber > 1.0 ||
-        !std::isfinite(group.write_ber) || !std::isfinite(group.read_ber)) {
-      scenario_error("group \"" + group.name +
-                     "\" bit-error rates must be in [0, 1]");
-    }
-    group.power.validate();
-    validate_schedule(group.schedule, "scenario: group \"" + group.name +
-                                          "\"");
-    if (group.backend.kind == engine::BackendKind::kFunctional) {
-      if (group.power.kind != fleet::PowerProfile::Kind::kContinuous) {
-        scenario_error("group \"" + group.name +
-                       "\" backend=functional requires supply=continuous");
-      }
-      if (group.schedule.mode != fault::ScheduleMode::kNone) {
-        scenario_error("group \"" + group.name +
-                       "\" backend=functional cannot take an outage schedule");
-      }
-    }
-  }
-  if (total_devices() > 65536) {
-    scenario_error("fleet exceeds 65536 devices");
+    total += group.count;
   }
 }
 
@@ -350,7 +278,7 @@ Json Scenario::to_json() const {
   if (deadline_s != 0.0) {
     out.set("deadline_s", Json::number(deadline_s));
   }
-  if (event_budget != kDefaultEventBudget) {
+  if (event_budget != Scenario().event_budget) {
     out.set("event_budget", Json::number(event_budget));
   }
   if (telemetry) {
@@ -456,106 +384,6 @@ Scenario Scenario::load(const std::string& path) {
   std::ostringstream text;
   text << file.rdbuf();
   return parse(text.str());
-}
-
-namespace {
-
-/// Specs need unique group names just like scenarios: gateways aggregate
-/// per group name, and rescale_strict's dropped-group diagnostic matches
-/// by name.
-void require_unique_group_names(const fleet::FleetSpec& spec) {
-  for (std::size_t i = 0; i < spec.groups.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (spec.groups[j].name == spec.groups[i].name) {
-        throw std::invalid_argument("fleet spec: duplicate group name '" +
-                                    spec.groups[i].name + "'");
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void validate_fleet(const fleet::FleetSpec& spec) {
-  if (spec.groups.empty()) {
-    throw std::invalid_argument("fleet spec: no group: lines");
-  }
-  require_unique_group_names(spec);
-  if (spec.inferences == 0) {
-    throw std::invalid_argument("fleet spec: inferences must be >= 1");
-  }
-  if (spec.batch == 0) {
-    throw std::invalid_argument("fleet spec: batch must be >= 1");
-  }
-  if (spec.event_budget == 0) {
-    throw std::invalid_argument("fleet spec: event_budget must be >= 1");
-  }
-  if (!std::isfinite(spec.deadline_s) || spec.deadline_s < 0.0) {
-    throw std::invalid_argument(
-        "fleet spec: deadline_s must be finite and >= 0");
-  }
-  for (const fleet::DeviceGroup& group : spec.groups) {
-    if (group.name.empty()) {
-      throw std::invalid_argument("fleet spec: group line needs a name");
-    }
-    if (group.count == 0) {
-      throw std::invalid_argument("fleet spec: group '" + group.name +
-                                  "' has count=0");
-    }
-    if (group.write_ber < 0.0 || group.write_ber > 1.0 ||
-        group.read_ber < 0.0 || group.read_ber > 1.0 ||
-        !std::isfinite(group.write_ber) || !std::isfinite(group.read_ber)) {
-      throw std::invalid_argument("fleet spec: group '" + group.name +
-                                  "' bit-error rates must be in [0, 1]");
-    }
-    group.power.validate();
-    validate_schedule(group.schedule,
-                      "fleet spec: group '" + group.name + "'");
-    if (group.backend.kind == engine::BackendKind::kFunctional) {
-      if (group.power.kind != fleet::PowerProfile::Kind::kContinuous) {
-        throw std::invalid_argument(
-            "fleet spec: group '" + group.name +
-            "' backend=functional requires supply=continuous (no power "
-            "model)");
-      }
-      if (group.schedule.mode != fault::ScheduleMode::kNone) {
-        throw std::invalid_argument(
-            "fleet spec: group '" + group.name +
-            "' backend=functional cannot take an outage schedule");
-      }
-    }
-  }
-}
-
-fleet::FleetSpec rescale_strict(const fleet::FleetSpec& spec,
-                                std::size_t devices) {
-  // Checked here too (fleet_run rescales before validate_fleet): with
-  // duplicate names the dropped-group walk below could blame the wrong
-  // group.
-  require_unique_group_names(spec);
-  const fleet::FleetSpec scaled = spec.with_devices(devices);
-  if (scaled.groups.size() != spec.groups.size()) {
-    // with_devices preserves group order, so the dropped names are the
-    // ones missing from the scaled walk.
-    std::string dropped;
-    std::size_t kept = 0;
-    for (const fleet::DeviceGroup& group : spec.groups) {
-      if (kept < scaled.groups.size() &&
-          scaled.groups[kept].name == group.name) {
-        ++kept;
-        continue;
-      }
-      if (!dropped.empty()) {
-        dropped += ", ";
-      }
-      dropped += "'" + group.name + "'";
-    }
-    throw std::invalid_argument(
-        "fleet spec: rescaling to " + std::to_string(devices) +
-        " devices would drop group(s) " + dropped +
-        " — raise the device count or remove the group");
-  }
-  return scaled;
 }
 
 }  // namespace iprune::scenario

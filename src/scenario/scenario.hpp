@@ -9,7 +9,9 @@
 // strict both ways:
 //
 //   * parse() rejects unknown fields, wrong types, and out-of-range
-//     values with exact, pinned error messages ("scenario: ..."), and
+//     values with exact, pinned error messages ("scenario: ...", or
+//     FleetSpec::validate()'s "fleet spec: ..." for fleet fields and
+//     groups), and
 //   * describe() emits the canonical form — default-valued fields are
 //     omitted, keys appear in a fixed order — so parse(describe(x)) == x
 //     byte-for-byte and a ddmin-shrunk repro is as small as its schema.
@@ -45,14 +47,13 @@ Check parse_check(const std::string& name);
 struct Scenario {
   /// Schema version every document must carry (the only accepted value).
   static constexpr std::uint64_t kVersion = 1;
-  static constexpr std::uint64_t kDefaultEventBudget = 1ull << 23;
 
   std::string name;
-  std::uint64_t seed = 2026;
+  std::uint64_t seed = fleet::FleetSpec().seed;
   std::size_t inferences = 1;
-  std::size_t batch = 256;
+  std::size_t batch = fleet::FleetSpec().batch;
   double deadline_s = 0.0;
-  std::uint64_t event_budget = kDefaultEventBudget;
+  std::uint64_t event_budget = fleet::FleetSpec().event_budget;
   bool telemetry = false;
   /// Simulation strategies to run and cross-check; empty = both.
   std::vector<fleet::SimKind> sims;
@@ -77,9 +78,12 @@ struct Scenario {
   /// The FleetSpec this scenario describes, under one sim strategy.
   [[nodiscard]] fleet::FleetSpec to_fleet(fleet::SimKind sim) const;
 
-  /// Range-check every field; throws std::invalid_argument with a
-  /// "scenario: ..." (or, for supply leaves, "fleet spec: supply ...")
-  /// message naming the offending field. parse() always validates.
+  /// Range-check every field; throws std::invalid_argument naming the
+  /// offending field. The document's own rules (name, duplicate sims and
+  /// checks, an empty group list, the 65536-device cap) fail with a
+  /// "scenario: ..." message; the fleet's fields and groups go through
+  /// FleetSpec::validate() and fail with its "fleet spec: ..." message.
+  /// parse() always validates.
   void validate() const;
 
   /// Canonical JSON document: fixed key order, default-valued fields
@@ -111,17 +115,5 @@ struct Scenario {
 /// groups need integrity=on because kAuto arms only on bit errors.
 [[nodiscard]] bool injects_protected_corruption(
     const fleet::DeviceGroup& group);
-
-/// Strict FleetSpec range validation — the checks FleetSpec::parse
-/// performs, applied to a spec however it was built (CLI flags mutate
-/// parsed specs, which used to bypass them). Throws std::invalid_argument
-/// with the same "fleet spec: ..." messages as parse().
-void validate_fleet(const fleet::FleetSpec& spec);
-
-/// FleetSpec::with_devices that refuses to silently drop groups: when
-/// rescaling to `devices` would apportion zero devices to some group, the
-/// error names every dropped group instead of returning a smaller fleet.
-[[nodiscard]] fleet::FleetSpec rescale_strict(const fleet::FleetSpec& spec,
-                                              std::size_t devices);
 
 }  // namespace iprune::scenario

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
 namespace iprune::fleet {
 namespace {
@@ -48,6 +49,17 @@ TEST(FleetSpec, ParseAcceptsCommentsAndBlankLines) {
   EXPECT_EQ(spec.groups[0].power, PowerProfile::weak());
 }
 
+/// Asserts FleetSpec::parse(text) throws std::invalid_argument with
+/// exactly `expected`.
+void expect_parse_error(const std::string& text, const std::string& expected) {
+  try {
+    (void)FleetSpec::parse(text);
+    FAIL() << "expected parse to reject: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), expected) << "input: " << text;
+  }
+}
+
 TEST(FleetSpec, ParseRejectsMalformedInput) {
   EXPECT_THROW(FleetSpec::parse(""), std::invalid_argument);
   EXPECT_THROW(FleetSpec::parse("bogus line\n"), std::invalid_argument);
@@ -72,6 +84,23 @@ TEST(FleetSpec, ParseRejectsMalformedInput) {
       FleetSpec::parse("fleet: seed=1 warp=9\n"
                        "group: name=a count=1\n"),
       std::invalid_argument);
+  // Parse applies every fleet range rule, NaN included, with the messages
+  // fleet_run prints after its flag overrides.
+  expect_parse_error("group: name=a count=1 write_ber=nan\n",
+                     "fleet spec: group 'a' bit-error rates must be in [0, 1]");
+  expect_parse_error("group: name=a count=1 read_ber=nan\n",
+                     "fleet spec: group 'a' bit-error rates must be in [0, 1]");
+  expect_parse_error("fleet: deadline_s=-1\ngroup: name=a count=1\n",
+                     "fleet spec: deadline_s must be finite and >= 0");
+  expect_parse_error("fleet: deadline_s=nan\ngroup: name=a count=1\n",
+                     "fleet spec: deadline_s must be finite and >= 0");
+  expect_parse_error("fleet: event_budget=0\ngroup: name=a count=1\n",
+                     "fleet spec: event_budget must be >= 1");
+  expect_parse_error("group: name=a count=5\ngroup: name=a count=1\n",
+                     "fleet spec: duplicate group name 'a'");
+  expect_parse_error("group: name=a\"b count=2\n",
+                     "fleet spec: group 'a\"b' name must match "
+                     "[A-Za-z0-9_.-]+");
 }
 
 TEST(FleetSpec, WithDevicesScalesProportionally) {

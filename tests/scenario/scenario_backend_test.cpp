@@ -59,12 +59,12 @@ TEST(ScenarioBackend, UnknownBackendMessageIsPinned) {
 TEST(ScenarioBackend, FunctionalConstraintsAreValidated) {
   // Default supply is strong harvest — not allowed for functional.
   expect_reject(minimal(", \"backend\": \"functional\""),
-                "scenario: group \"g\" backend=functional requires "
-                "supply=continuous");
+                "fleet spec: group 'g' backend=functional requires "
+                "supply=continuous (no power model)");
   expect_reject(minimal(", \"backend\": \"functional\", "
                         "\"supply\": \"continuous\", "
                         "\"schedule\": \"every:50\""),
-                "scenario: group \"g\" backend=functional cannot take an "
+                "fleet spec: group 'g' backend=functional cannot take an "
                 "outage schedule");
 
   // With continuous supply and no schedule it parses cleanly.
@@ -81,7 +81,7 @@ TEST(ScenarioBackend, ValidateFleetEnforcesFunctionalConstraints) {
   group.power = fleet::PowerProfile::weak();
   spec.groups = {group};
   try {
-    validate_fleet(spec);
+    spec.validate();
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
@@ -93,7 +93,7 @@ TEST(ScenarioBackend, ValidateFleetEnforcesFunctionalConstraints) {
   group.schedule = fault::OutageSchedule::every_nth(50);
   spec.groups = {group};
   try {
-    validate_fleet(spec);
+    spec.validate();
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
@@ -103,7 +103,7 @@ TEST(ScenarioBackend, ValidateFleetEnforcesFunctionalConstraints) {
 
   group.schedule = {};
   spec.groups = {group};
-  validate_fleet(spec);  // must not throw
+  spec.validate();  // must not throw
 }
 
 }  // namespace

@@ -96,23 +96,28 @@ TEST(ScenarioSchema, RejectsWrongVersion) {
 
 TEST(ScenarioSchema, RejectsOutOfRangeValues) {
   expect_reject(minimal(", \"inferences\": 0"),
-                "scenario: inferences must be >= 1");
+                "fleet spec: inferences must be >= 1");
   expect_reject("{\"version\": 1, \"name\": \"bad name\", \"groups\": "
                 "[{\"name\": \"g\"}]}",
                 "scenario: name must match [A-Za-z0-9_.-]+");
   expect_reject("{\"version\": 1, \"name\": \"x\", \"groups\": []}",
                 "scenario: at least one group is required");
   expect_reject(minimal("", ", \"count\": 0"),
-                "scenario: group \"g\" count must be >= 1");
+                "fleet spec: group 'g' has count=0");
   expect_reject(minimal("", ", \"write_ber\": 1.5"),
-                "scenario: group \"g\" bit-error rates must be in [0, 1]");
+                "fleet spec: group 'g' bit-error rates must be in [0, 1]");
   expect_reject(minimal(", \"sims\": [\"stepping\", \"stepping\"]"),
                 "scenario: duplicate sim \"stepping\"");
   expect_reject(minimal(", \"checks\": [\"warp\"]"),
                 "scenario: unknown check \"warp\"");
   expect_reject("{\"version\": 1, \"name\": \"x\", \"groups\": "
                 "[{\"name\": \"g\"}, {\"name\": \"g\"}]}",
-                "scenario: duplicate group name \"g\"");
+                "fleet spec: duplicate group name 'g'");
+  // Two counts of 2^63 sum to 0 in 64 bits; the cap must still hold.
+  expect_reject("{\"version\": 1, \"name\": \"x\", \"groups\": "
+                "[{\"name\": \"a\", \"count\": 9223372036854775808}, "
+                "{\"name\": \"b\", \"count\": 9223372036854775808}]}",
+                "scenario: fleet exceeds 65536 devices");
 }
 
 TEST(ScenarioSchema, LeafDslErrorsPropagateVerbatim) {
@@ -196,8 +201,8 @@ TEST(ScenarioSchema, ValidateFleetRejectsMutatedSpecs) {
   fleet::FleetSpec spec = fleet::FleetSpec::example(4);
   spec.event_budget = 0;
   try {
-    validate_fleet(spec);
-    FAIL() << "expected validate_fleet to reject event_budget=0";
+    spec.validate();
+    FAIL() << "expected validate() to reject event_budget=0";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()),
               "fleet spec: event_budget must be >= 1");
@@ -207,8 +212,8 @@ TEST(ScenarioSchema, ValidateFleetRejectsMutatedSpecs) {
   ASSERT_FALSE(zero.groups.empty());
   zero.groups[0].count = 0;
   try {
-    validate_fleet(zero);
-    FAIL() << "expected validate_fleet to reject count=0";
+    zero.validate();
+    FAIL() << "expected validate() to reject count=0";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()),
               "fleet spec: group '" + zero.groups[0].name + "' has count=0");
@@ -229,13 +234,13 @@ TEST(ScenarioSchema, FleetSpecsRejectDuplicateGroupNames) {
 
   const std::string expected = "fleet spec: duplicate group name 'twin'";
   try {
-    validate_fleet(spec);
-    FAIL() << "expected validate_fleet to reject duplicate names";
+    spec.validate();
+    FAIL() << "expected validate() to reject duplicate names";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()), expected);
   }
   try {
-    (void)rescale_strict(spec, 2);
+    (void)fleet::rescale_strict(spec, 2);
     FAIL() << "expected rescale_strict to reject duplicate names";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()), expected);
@@ -253,11 +258,11 @@ TEST(ScenarioSchema, RescaleStrictNamesDroppedGroups) {
   spec.groups.back().name = "beta";
   spec.groups.back().count = 1;
 
-  const fleet::FleetSpec ok = rescale_strict(spec, 100);
+  const fleet::FleetSpec ok = fleet::rescale_strict(spec, 100);
   EXPECT_EQ(ok.groups.size(), 2u);
 
   try {
-    (void)rescale_strict(spec, 2);
+    (void)fleet::rescale_strict(spec, 2);
     FAIL() << "expected rescale_strict to reject dropping beta";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()),
