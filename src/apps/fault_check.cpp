@@ -1,21 +1,19 @@
 // fault_check: differential crash-consistency checking under forced
 // power failures and injected NVM corruption.
 //
-// Usage: fault_check [--smoke] [--random N] [--seed S] [--repro TOKEN]
+// Usage: fault_check [--random N] [--seed S] [--repro TOKEN]
 //                    [--corrupt] [--scrub-only]
 //   (no args)    exhaustive write-boundary sweep + 200 random schedules,
 //                both preservation modes, on the tiny testbed model
-//   --smoke      reduced sweep for CI gating (exhaustive kImmediate sweep
-//                + 24 random schedules per mode; with --corrupt, a strided
-//                torn-commit sweep)
 //   --random N   number of seeded-random schedules per mode
 //   --seed S     base seed for the random schedules (default 2023)
 //   --repro T    replay one repro token printed by a failing run, e.g.
 //                  fault_check --repro 'mode=immediate;schedule=fixed:3,17'
-//   --corrupt    NVM data-integrity suite: torn-commit sweeps, bit-error
-//                rates, and stuck-at cells replayed with the integrity
-//                layer armed, plus an unprotected baseline demonstrating
-//                the silent escapes the layer exists to stop
+//   --corrupt    NVM data-integrity suite: a torn-commit sweep over each
+//                mode's write boundaries, bit-error rates, and stuck-at
+//                cells replayed with the integrity layer armed, plus an
+//                unprotected baseline demonstrating the silent escapes the
+//                layer exists to stop
 //   --scrub-only self-test of the seal/scrub machinery: deploy a sealed
 //                model, verify a clean scrub, corrupt one weight cell,
 //                verify the scrub detects it
@@ -43,8 +41,6 @@
 #include "apps/cli_args.hpp"
 #include "engine/deploy.hpp"
 #include "fault/checker.hpp"
-#include "fault/injector.hpp"
-#include "fault/integrity.hpp"
 #include "fault/testbed.hpp"
 #include "power/supply.hpp"
 #include "util/log.hpp"
@@ -56,8 +52,8 @@ using apps::parse_u64_arg;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--smoke] [--random N] [--seed S] "
-               "[--repro TOKEN] [--corrupt] [--scrub-only]\n",
+               "usage: %s [--random N] [--seed S] [--repro TOKEN] "
+               "[--corrupt] [--scrub-only]\n",
                argv0);
   return 2;
 }
@@ -67,11 +63,12 @@ struct Workbench {
   nn::Graph graph;
   nn::Tensor calibration;
   nn::Tensor sample;
-  fault::ConsistencyChecker checker;
+  fault::Checker checker;
 
   Workbench()
       : graph(fault::make_tiny_graph(rng)),
-        calibration(fault::make_batch(rng, graph, 8)),
+        calibration(
+            fault::make_batch(rng, graph, fault::kCalibrationSamples)),
         sample(fault::slice_sample(calibration, 0)),
         checker(graph, calibration) {}
 };
@@ -122,13 +119,12 @@ std::size_t run_batch(Workbench& bench, const char* label,
 /// Check one scenario batch, print its verdict histogram, and print the
 /// first silent/crashed outcome in full. Returns the batch exit code
 /// (0 consistent / 1 contained / 2 escaped).
-int run_integrity_batch(const fault::IntegrityChecker& checker,
-                        Workbench& bench, const char* label,
+int run_integrity_batch(Workbench& bench, const char* label,
                         const std::vector<fault::CorruptionScenario>& batch,
                         engine::PreservationMode mode, bool protect) {
   using fault::IntegrityVerdict;
   const fault::IntegrityReport report =
-      checker.check_scenarios(bench.sample, batch, mode, protect);
+      bench.checker.check_scenarios(bench.sample, batch, mode, protect);
   std::printf(
       "%-26s mode=%-9s %-11s %4zu scenarios: "
       "%zu consistent %zu recovered %zu detected %zu silent %zu crashed\n",
@@ -152,16 +148,17 @@ int run_integrity_batch(const fault::IntegrityChecker& checker,
 /// NVM data-integrity suite (--corrupt). The protected batches gate the
 /// exit code; the unprotected baseline demonstrates the silent escapes
 /// the integrity layer exists to stop and is informational only.
-int run_corrupt(Workbench& bench, bool smoke) {
+int run_corrupt(Workbench& bench) {
   using engine::PreservationMode;
-  const fault::IntegrityChecker checker(bench.graph, bench.calibration);
-
-  const std::uint64_t boundaries = checker.count_write_boundaries(
-      bench.sample, PreservationMode::kImmediate, /*protect=*/true);
-  const std::uint64_t stride = smoke ? 7 : 1;
+  // A mode's sweep tears that mode's own write boundaries: kTaskAtomic
+  // commits once per task, so it has far fewer than kImmediate.
+  const auto torn_sweep = [&](PreservationMode mode) {
+    return fault::Checker::torn_commit_sweep(
+        bench.checker.count_write_boundaries(bench.sample, mode),
+        /*stride=*/1, {1, 2, 3, 5});
+  };
   const std::vector<fault::CorruptionScenario> torn =
-      fault::IntegrityChecker::torn_commit_sweep(boundaries, stride,
-                                                 {1, 2, 3, 5});
+      torn_sweep(PreservationMode::kImmediate);
 
   std::vector<fault::CorruptionScenario> faults;
   {
@@ -188,23 +185,22 @@ int run_corrupt(Workbench& bench, bool smoke) {
 
   int exit_code = 0;
   exit_code = std::max(
-      exit_code, run_integrity_batch(checker, bench, "torn-commit sweep",
-                                     torn, PreservationMode::kImmediate,
+      exit_code, run_integrity_batch(bench, "torn-commit sweep", torn,
+                                     PreservationMode::kImmediate,
                                      /*protect=*/true));
-  if (!smoke) {
-    exit_code = std::max(
-        exit_code, run_integrity_batch(checker, bench, "torn-commit sweep",
-                                       torn, PreservationMode::kTaskAtomic,
-                                       /*protect=*/true));
-  }
   exit_code = std::max(
-      exit_code, run_integrity_batch(checker, bench, "data faults", faults,
+      exit_code,
+      run_integrity_batch(bench, "torn-commit sweep",
+                          torn_sweep(PreservationMode::kTaskAtomic),
+                          PreservationMode::kTaskAtomic, /*protect=*/true));
+  exit_code = std::max(
+      exit_code, run_integrity_batch(bench, "data faults", faults,
                                      PreservationMode::kImmediate,
                                      /*protect=*/true));
 
   const int baseline = run_integrity_batch(
-      checker, bench, "baseline (no integrity)", torn,
-      PreservationMode::kImmediate, /*protect=*/false);
+      bench, "baseline (no integrity)", torn, PreservationMode::kImmediate,
+      /*protect=*/false);
   if (baseline >= 2) {
     std::printf("baseline escapes confirm the threat model "
                 "(not counted against the exit code)\n");
@@ -286,7 +282,6 @@ std::vector<fault::OutageSchedule> random_schedules(std::size_t count,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
   bool corrupt = false;
   bool scrub_only = false;
   std::size_t random_count = 200;
@@ -294,9 +289,7 @@ int main(int argc, char** argv) {
   std::string repro;
 
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--corrupt") == 0) {
+    if (std::strcmp(argv[i], "--corrupt") == 0) {
       corrupt = true;
     } else if (std::strcmp(argv[i], "--scrub-only") == 0) {
       scrub_only = true;
@@ -320,10 +313,7 @@ int main(int argc, char** argv) {
     return run_scrub_only(bench);
   }
   if (corrupt) {
-    return run_corrupt(bench, smoke);
-  }
-  if (smoke) {
-    random_count = 24;
+    return run_corrupt(bench);
   }
 
   using engine::PreservationMode;
@@ -333,12 +323,10 @@ int main(int argc, char** argv) {
       bench.sample, PreservationMode::kImmediate);
   failures += run_batch(bench, "exhaustive write sweep", writes_imm,
                         PreservationMode::kImmediate);
-  if (!smoke) {
-    const auto writes_task = bench.checker.exhaustive_write_schedules(
-        bench.sample, PreservationMode::kTaskAtomic);
-    failures += run_batch(bench, "exhaustive write sweep", writes_task,
-                          PreservationMode::kTaskAtomic);
-  }
+  const auto writes_task = bench.checker.exhaustive_write_schedules(
+      bench.sample, PreservationMode::kTaskAtomic);
+  failures += run_batch(bench, "exhaustive write sweep", writes_task,
+                        PreservationMode::kTaskAtomic);
 
   const auto randoms = random_schedules(random_count, seed);
   failures += run_batch(bench, "random schedules", randoms,

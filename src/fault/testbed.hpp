@@ -8,10 +8,17 @@
 // CLI build their workloads from this one place so a repro printed by one
 // is replayable by the other.
 
+#include <cstddef>
+
 #include "nn/graph.hpp"
 #include "util/rng.hpp"
 
 namespace iprune::fault {
+
+/// Calibration batch size of every testbed deployment (fault_check, the
+/// scenario checks and fleet devices). It is part of each one's RNG draw
+/// order: changing it moves every digest.
+inline constexpr std::size_t kCalibrationSamples = 8;
 
 /// Two stacked convolutions + classifier head: input {1,5,5} -> conv(3x3,
 /// pad 1) -> relu (folded) -> conv(3x3) -> flatten -> dense(4). Roughly a

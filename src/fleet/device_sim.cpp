@@ -11,10 +11,6 @@
 
 namespace iprune::fleet {
 
-namespace {
-
-constexpr std::size_t kCalibrationSamples = 8;
-
 nn::Graph build_graph(ModelKind model, util::Rng& rng) {
   switch (model) {
     case ModelKind::kTiny:
@@ -24,8 +20,6 @@ nn::Graph build_graph(ModelKind model, util::Rng& rng) {
   }
   throw std::logic_error("fleet: bad model kind");
 }
-
-}  // namespace
 
 DeviceSim::DeviceSim(const DeviceSpec& spec)
     : spec_(spec),
@@ -40,7 +34,7 @@ DeviceSim::DeviceSim(const DeviceSpec& spec)
   // Draw order matters (calibration before samples): it is part of the
   // reproducibility contract with the differential test.
   const nn::Tensor calibration =
-      fault::make_batch(rng_, graph_, kCalibrationSamples);
+      fault::make_batch(rng_, graph_, fault::kCalibrationSamples);
   const nn::Tensor samples =
       fault::make_batch(rng_, graph_, spec_.inferences);
 

@@ -71,6 +71,10 @@ struct DeviceResult {
   telemetry::MetricsRegistry registry;
 };
 
+/// The testbed graph of `model`, drawn first from `rng`: a device's
+/// model stream, or a scenario check's testbed stream.
+nn::Graph build_graph(ModelKind model, util::Rng& rng);
+
 class DeviceSim {
  public:
   /// Builds the full stack. Deterministic given the spec: the model and

@@ -564,8 +564,13 @@ DeviceGroup DeviceGroup::parse(const std::string& text) {
 }
 
 std::size_t FleetSpec::total_devices() const {
+  // Bounded at every step: a plain sum of huge counts wraps below the cap.
   std::size_t total = 0;
   for (const DeviceGroup& group : groups) {
+    if (group.count > kMaxDevices - total) {
+      throw std::invalid_argument("fleet spec: fleet exceeds " +
+                                  std::to_string(kMaxDevices) + " devices");
+    }
     total += group.count;
   }
   return total;
@@ -597,16 +602,21 @@ void FleetSpec::validate() const {
       }
     }
   }
+  static_cast<void>(total_devices());  // throws past kMaxDevices
 }
 
 FleetSpec FleetSpec::with_devices(std::size_t n) const {
   if (n == 0) {
     throw std::invalid_argument("fleet spec: device count must be >= 1");
   }
-  if (groups.empty()) {
-    throw std::invalid_argument("fleet spec: no groups to scale");
+  if (n > kMaxDevices) {
+    throw std::invalid_argument("fleet spec: device count must be <= " +
+                                std::to_string(kMaxDevices));
   }
   const std::size_t total = total_devices();
+  if (total == 0) {
+    throw std::invalid_argument("fleet spec: no devices to scale");
+  }
   FleetSpec scaled = *this;
   // Largest-remainder apportionment: floor each share, then hand the
   // leftover devices to the groups with the largest fractional parts
@@ -614,7 +624,7 @@ FleetSpec FleetSpec::with_devices(std::size_t n) const {
   std::size_t assigned = 0;
   std::vector<std::size_t> remainder_num(groups.size());
   for (std::size_t i = 0; i < groups.size(); ++i) {
-    const std::size_t share = n * groups[i].count;  // spec counts are small
+    const std::size_t share = n * groups[i].count;  // <= 2^32: no wrap
     scaled.groups[i].count = share / total;
     remainder_num[i] = share % total;
     assigned += scaled.groups[i].count;

@@ -211,19 +211,26 @@ struct FleetSpec {
   SimKind sim = SimKind::kStepping;
   std::vector<DeviceGroup> groups;
 
+  /// Upper bound on a fleet's device total.
+  static constexpr std::size_t kMaxDevices = 65536;
+
+  /// Sum of the group counts; throws std::invalid_argument ("fleet spec:
+  /// fleet exceeds 65536 devices") once it would pass kMaxDevices.
   [[nodiscard]] std::size_t total_devices() const;
 
   /// Range-check the whole spec: at least one group; inferences, batch and
   /// event_budget >= 1; deadline_s finite and >= 0; every group's
   /// DeviceGroup::validate(); unique group names (gateways aggregate by
-  /// name). Throws std::invalid_argument with a "fleet spec: ..." message.
+  /// name); at most kMaxDevices devices in all. Throws
+  /// std::invalid_argument with a "fleet spec: ..." message.
   /// parse() always validates; specs built or changed in code (CLI flag
   /// overrides, scenario documents) call it themselves.
   void validate() const;
 
   /// Rescale group counts to `n` total devices, proportional to the
   /// existing counts (largest-remainder rounding, ties to earlier groups).
-  /// Group order is preserved; n >= 1 required.
+  /// Group order is preserved; 1 <= n <= kMaxDevices required, and the
+  /// spec's own total must be within kMaxDevices too.
   [[nodiscard]] FleetSpec with_devices(std::size_t n) const;
 
   /// Serially expand into per-device specs (see determinism contract).

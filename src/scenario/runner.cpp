@@ -7,16 +7,14 @@
 #include <utility>
 
 #include "fault/checker.hpp"
-#include "fault/integrity.hpp"
 #include "fault/testbed.hpp"
+#include "fleet/device_sim.hpp"
 #include "fleet/orchestrator.hpp"
 #include "util/splitmix.hpp"
 
 namespace iprune::scenario {
 
 namespace {
-
-constexpr std::size_t kCalibrationSamples = 8;
 
 std::string hex_digest(std::uint64_t digest) {
   char buf[32];
@@ -37,25 +35,22 @@ std::uint64_t run_digest(const Scenario& scenario, fleet::SimKind sim,
   return digest;
 }
 
-/// Shared testbed for the differential checkers: one deterministic
-/// (graph, calibration, sample) triple per model kind, seeded from the
+/// Shared testbed for the differential checks: one deterministic checker
+/// (graph, calibration) and sample per model kind, seeded from the
 /// scenario seed so a scenario document fully determines every replay.
 struct Testbed {
-  nn::Graph graph;
-  nn::Tensor calibration;
+  fault::Checker checker;
   nn::Tensor sample;
 };
 
 Testbed make_testbed(fleet::ModelKind model, std::uint64_t seed) {
   util::Rng rng(seed);
-  nn::Graph graph = model == fleet::ModelKind::kTiny
-                        ? fault::make_tiny_graph(rng)
-                        : fault::make_multipath_graph(rng);
+  const nn::Graph graph = fleet::build_graph(model, rng);
   nn::Tensor calibration =
-      fault::make_batch(rng, graph, kCalibrationSamples);
-  nn::Tensor batch = fault::make_batch(rng, graph, 1);
-  nn::Tensor sample = fault::slice_sample(batch, 0);
-  return {std::move(graph), std::move(calibration), std::move(sample)};
+      fault::make_batch(rng, graph, fault::kCalibrationSamples);
+  const nn::Tensor batch = fault::make_batch(rng, graph, 1);
+  return {fault::Checker(graph, std::move(calibration)),
+          fault::slice_sample(batch, 0)};
 }
 
 CheckOutcome check_sim_digest(const Scenario& scenario,
@@ -154,14 +149,13 @@ CheckOutcome check_consistency(const Scenario& scenario,
       Check::kConsistency, scenario, options, forces_clean_outages,
       [&](const fleet::DeviceGroup& group, std::size_t /*index*/,
           const Testbed& bed) -> std::optional<std::string> {
-        const fault::ConsistencyChecker checker(bed.graph, bed.calibration);
         fault::ScheduleOutcome result =
-            checker.check(bed.sample, group.schedule, group.mode);
+            bed.checker.check(bed.sample, group.schedule, group.mode);
         if (result.passed) {
           return std::nullopt;
         }
         if (options.shrink) {
-          result = checker.shrink(bed.sample, result);
+          result = bed.checker.shrink(bed.sample, result);
         }
         return "group \"" + group.name + "\" (" +
                fleet::model_kind_name(group.model) + "): " + result.failure +
@@ -175,15 +169,14 @@ CheckOutcome check_integrity(const Scenario& scenario,
       Check::kIntegrity, scenario, options, injects_protected_corruption,
       [&](const fleet::DeviceGroup& group, std::size_t index,
           const Testbed& bed) -> std::optional<std::string> {
-        const fault::IntegrityChecker checker(bed.graph, bed.calibration);
         fault::CorruptionScenario load;
         load.label = group.name;
         load.schedule = group.schedule;
         load.seed = util::splitmix64_at(scenario.seed, index) | 1ull;
         load.write_ber = group.write_ber;
         load.read_ber = group.read_ber;
-        const fault::ScenarioOutcome result =
-            checker.check(bed.sample, load, group.mode, /*protect=*/true);
+        const fault::ScenarioOutcome result = bed.checker.check(
+            bed.sample, load, group.mode, /*protect=*/true);
         if (result.verdict != fault::IntegrityVerdict::kSilent &&
             result.verdict != fault::IntegrityVerdict::kCrashed) {
           return std::nullopt;

@@ -10,12 +10,12 @@
 //   lane_determinism  re-running the reference sim on 1-lane and 3-lane
 //                     pools reproduces the reference digest exactly
 //   consistency       each clean-outage group's schedule passes the
-//                     ConsistencyChecker on that group's (model, mode)
-//                     testbed; a failure detail carries the ddmin-shrunk
-//                     repro token
+//                     fault::Checker's schedule check on that group's
+//                     (model, mode) testbed; a failure detail carries the
+//                     ddmin-shrunk repro token
 //   integrity         each protected corrupted group's fault load is
-//                     contained by the IntegrityChecker (no silent escape,
-//                     no unrecovered crash)
+//                     contained by the fault::Checker's scenario check (no
+//                     silent escape, no unrecovered crash)
 //
 // Every run derives its inputs from the scenario alone, so a report — and
 // each check's pass/fail — is deterministic for a given scenario document.

@@ -200,14 +200,6 @@ std::vector<Check> Scenario::effective_checks() const {
   return derived;
 }
 
-std::size_t Scenario::total_devices() const {
-  std::size_t total = 0;
-  for (const fleet::DeviceGroup& group : groups) {
-    total += group.count;
-  }
-  return total;
-}
-
 fleet::FleetSpec Scenario::to_fleet(fleet::SimKind sim) const {
   fleet::FleetSpec spec;
   spec.seed = seed;
@@ -247,18 +239,9 @@ void Scenario::validate() const {
   if (groups.empty()) {
     scenario_error("at least one group is required");
   }
-  // Fleet fields and groups follow FleetSpec's rules, in its wording (the
-  // sim kind does not enter them).
+  // Fleet fields, groups and the device cap follow FleetSpec's rules, in
+  // its wording (the sim kind does not enter them).
   to_fleet(fleet::SimKind::kStepping).validate();
-  // Bounded at every step: a plain sum of huge counts wraps below the cap.
-  constexpr std::size_t kMaxDevices = 65536;
-  std::size_t total = 0;
-  for (const fleet::DeviceGroup& group : groups) {
-    if (group.count > kMaxDevices - total) {
-      scenario_error("fleet exceeds 65536 devices");
-    }
-    total += group.count;
-  }
 }
 
 Json Scenario::to_json() const {

@@ -34,8 +34,8 @@ namespace iprune::scenario {
 enum class Check : std::uint8_t {
   kSimDigest,        // stepping/batched fleet digests agree
   kLaneDeterminism,  // 1-lane and multi-lane digests agree
-  kConsistency,      // ConsistencyChecker passes each group's schedule
-  kIntegrity,        // IntegrityChecker: no silent escape / crash
+  kConsistency,      // fault::Checker passes each group's schedule
+  kIntegrity,        // fault::Checker: no silent escape / crash
 };
 
 /// "sim_digest" | "lane_determinism" | "consistency" | "integrity".
@@ -73,16 +73,14 @@ struct Scenario {
   /// not opted out of the integrity layer.
   [[nodiscard]] std::vector<Check> effective_checks() const;
 
-  [[nodiscard]] std::size_t total_devices() const;
-
   /// The FleetSpec this scenario describes, under one sim strategy.
   [[nodiscard]] fleet::FleetSpec to_fleet(fleet::SimKind sim) const;
 
   /// Range-check every field; throws std::invalid_argument naming the
   /// offending field. The document's own rules (name, duplicate sims and
-  /// checks, an empty group list, the 65536-device cap) fail with a
-  /// "scenario: ..." message; the fleet's fields and groups go through
-  /// FleetSpec::validate() and fail with its "fleet spec: ..." message.
+  /// checks, an empty group list) fail with a "scenario: ..." message; the
+  /// fleet's fields, groups and device cap go through FleetSpec::validate()
+  /// and fail with its "fleet spec: ..." message.
   /// parse() always validates.
   void validate() const;
 
@@ -103,16 +101,18 @@ struct Scenario {
 };
 
 /// True when `group` forces clean (drop-all) power outages in an
-/// intermittent-safe mode with no corruption — the ConsistencyChecker's
-/// domain (bit-identical logits despite every outage).
+/// intermittent-safe mode with no corruption — the domain of
+/// fault::Checker's schedule check (bit-identical logits despite every
+/// outage).
 [[nodiscard]] bool forces_clean_outages(const fleet::DeviceGroup& group);
 
 /// True when `group` injects pure torn-write corruption (no bit errors)
-/// with the integrity layer forced on — the IntegrityChecker's
-/// containment domain. Bit-error groups are excluded: unconfined flips
-/// can land in activation bytes the layer does not CRC and go silent by
-/// design, so BER coverage comes from the digest checks instead. Torn-only
-/// groups need integrity=on because kAuto arms only on bit errors.
+/// with the integrity layer forced on — the containment domain of
+/// fault::Checker's scenario check. Bit-error groups are excluded:
+/// unconfined flips can land in activation bytes the layer does not CRC
+/// and go silent by design, so BER coverage comes from the digest checks
+/// instead. Torn-only groups need integrity=on because kAuto arms only on
+/// bit errors.
 [[nodiscard]] bool injects_protected_corruption(
     const fleet::DeviceGroup& group);
 

@@ -29,7 +29,7 @@ TEST(AccumulateWatchdog, DenseScheduleStopsAfterExactlyMaxRestarts) {
   // Find how many chargeable events one clean accumulate-mode inference
   // needs, then inject an outage every half-inference: no attempt can
   // ever finish.
-  ConsistencyChecker counter(graph, calib);
+  Checker counter(graph, calib);
   const std::uint64_t clean_events =
       counter.count_events(sample, PreservationMode::kAccumulateInVm);
   ASSERT_GT(clean_events, 4u);
@@ -69,7 +69,7 @@ TEST(AccumulateWatchdog, CheckerReportsNonterminationAsFailure) {
 
   CheckerConfig config;
   config.max_restarts = 4;
-  ConsistencyChecker checker(graph, calib, config);
+  Checker checker(graph, calib, config);
   const std::uint64_t clean_events =
       checker.count_events(sample, PreservationMode::kAccumulateInVm);
 

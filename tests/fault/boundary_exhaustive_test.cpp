@@ -18,7 +18,7 @@ TEST(BoundaryExhaustive, EveryWriteBoundaryFailureRecoversBitIdentical) {
   const nn::Graph graph = make_tiny_graph(rng);
   const nn::Tensor calib = make_batch(rng, graph, 8);
   const nn::Tensor sample = slice_sample(calib, 0);
-  ConsistencyChecker checker(graph, calib);
+  Checker checker(graph, calib);
 
   const std::vector<OutageSchedule> schedules =
       checker.exhaustive_write_schedules(sample,
@@ -52,7 +52,7 @@ TEST(BoundaryExhaustive, TaskModeSweepRespectsTaskBound) {
   const nn::Graph graph = make_tiny_graph(rng);
   const nn::Tensor calib = make_batch(rng, graph, 8);
   const nn::Tensor sample = slice_sample(calib, 0);
-  ConsistencyChecker checker(graph, calib);
+  Checker checker(graph, calib);
 
   const std::vector<OutageSchedule> schedules =
       checker.exhaustive_write_schedules(sample,

@@ -234,7 +234,7 @@ TEST(ManagerHook, BackToBackRebootInjectionIsSurvivable) {
   EXPECT_TRUE(device.dma_write(16));  // clean after the third reboot
 }
 
-// --- ConsistencyChecker ---
+// --- Checker ---
 
 class CheckerFixture : public ::testing::Test {
  protected:
@@ -243,14 +243,14 @@ class CheckerFixture : public ::testing::Test {
     graph_ = std::make_unique<nn::Graph>(make_tiny_graph(*rng_));
     calib_ = make_batch(*rng_, *graph_, 8);
     sample_ = slice_sample(calib_, 0);
-    checker_ = std::make_unique<ConsistencyChecker>(*graph_, calib_);
+    checker_ = std::make_unique<Checker>(*graph_, calib_);
   }
 
   std::unique_ptr<util::Rng> rng_;
   std::unique_ptr<nn::Graph> graph_;
   nn::Tensor calib_;
   nn::Tensor sample_;
-  std::unique_ptr<ConsistencyChecker> checker_;
+  std::unique_ptr<Checker> checker_;
 };
 
 TEST_F(CheckerFixture, CleanSchedulePassesInBothModes) {
@@ -306,7 +306,7 @@ TEST_F(CheckerFixture, ShrinkMinimizesFailingSchedule) {
   // and must shrink to a single ordinal.
   CheckerConfig config;
   config.max_restarts = 0;
-  ConsistencyChecker strict(*graph_, calib_, config);
+  Checker strict(*graph_, calib_, config);
   const ScheduleOutcome failed =
       strict.check(sample_, OutageSchedule::at_events({10, 50, 90}),
                    PreservationMode::kAccumulateInVm);

@@ -15,7 +15,7 @@
 #include "device/msp430.hpp"
 #include "engine/deploy.hpp"
 #include "engine/engine.hpp"
-#include "fault/integrity.hpp"
+#include "fault/checker.hpp"
 #include "fault/testbed.hpp"
 #include "power/supply.hpp"
 
@@ -31,20 +31,29 @@ class IntegritySuite : public ::testing::Test {
     graph_ = std::make_unique<nn::Graph>(make_tiny_graph(rng));
     calib_ = make_batch(rng, *graph_, 8);
     sample_ = slice_sample(calib_, 0);
-    checker_ = std::make_unique<IntegrityChecker>(*graph_, calib_);
+    checker_ = std::make_unique<Checker>(*graph_, calib_);
   }
 
-  std::vector<CorruptionScenario> torn_sweep(bool protect) const {
-    const std::uint64_t boundaries = checker_->count_write_boundaries(
-        sample_, PreservationMode::kImmediate, protect);
-    return IntegrityChecker::torn_commit_sweep(boundaries, /*stride=*/5,
-                                               {1, 3});
+  /// Tears every `stride`-th write boundary of a clean run in `mode`; a
+  /// sweep built from another mode's boundaries would aim past the end of
+  /// the run and inject nothing.
+  std::vector<CorruptionScenario> torn_sweep(PreservationMode mode,
+                                             std::uint64_t stride) const {
+    return Checker::torn_commit_sweep(
+        checker_->count_write_boundaries(sample_, mode), stride, {1, 3});
+  }
+
+  /// Every scenario of a torn sweep must actually lose power.
+  static void expect_every_outage_fired(const IntegrityReport& report) {
+    for (const ScenarioOutcome& outcome : report.outcomes) {
+      EXPECT_GE(outcome.power_failures, 1u) << outcome.to_string();
+    }
   }
 
   std::unique_ptr<nn::Graph> graph_;
   nn::Tensor calib_;
   nn::Tensor sample_;
-  std::unique_ptr<IntegrityChecker> checker_;
+  std::unique_ptr<Checker> checker_;
 };
 
 // The tentpole guarantee: under protection, every torn-commit schedule in
@@ -52,11 +61,12 @@ class IntegritySuite : public ::testing::Test {
 // kConsistent/kRecovered only — a tear that loses the progress record
 // rolls back and re-executes).
 TEST_F(IntegritySuite, ProtectedTornSweepIsBitIdenticalToGolden) {
-  const auto sweep = torn_sweep(/*protect=*/true);
+  const auto sweep = torn_sweep(PreservationMode::kImmediate, /*stride=*/5);
   ASSERT_GT(sweep.size(), 10u);
   const IntegrityReport report = checker_->check_scenarios(
       sample_, sweep, PreservationMode::kImmediate, /*protect=*/true);
   ASSERT_EQ(report.outcomes.size(), sweep.size());
+  expect_every_outage_fired(report);
   EXPECT_EQ(report.count(IntegrityVerdict::kSilent), 0u)
       << report.first(IntegrityVerdict::kSilent)->to_string();
   EXPECT_EQ(report.count(IntegrityVerdict::kCrashed), 0u)
@@ -68,10 +78,15 @@ TEST_F(IntegritySuite, ProtectedTornSweepIsBitIdenticalToGolden) {
   EXPECT_GT(report.count(IntegrityVerdict::kRecovered), 0u);
 }
 
+// kTaskAtomic commits once per task, so it has few write boundaries:
+// tear every one of them.
 TEST_F(IntegritySuite, ProtectedTornSweepSurvivesTaskAtomicMode) {
-  const auto sweep = torn_sweep(/*protect=*/true);
+  const auto sweep = torn_sweep(PreservationMode::kTaskAtomic, /*stride=*/1);
+  ASSERT_GT(sweep.size(), 10u);
   const IntegrityReport report = checker_->check_scenarios(
       sample_, sweep, PreservationMode::kTaskAtomic, /*protect=*/true);
+  ASSERT_EQ(report.outcomes.size(), sweep.size());
+  expect_every_outage_fired(report);
   EXPECT_EQ(report.count(IntegrityVerdict::kSilent), 0u);
   EXPECT_EQ(report.count(IntegrityVerdict::kCrashed), 0u);
   EXPECT_LE(report.exit_code(), 1);
@@ -81,9 +96,11 @@ TEST_F(IntegritySuite, ProtectedTornSweepSurvivesTaskAtomicMode) {
 // one silent-data-corruption escape — wrong logits, clean completion —
 // proving the checker can catch what the CRC layer prevents.
 TEST_F(IntegritySuite, UnprotectedTornSweepEscapesSilently) {
-  const auto sweep = torn_sweep(/*protect=*/false);
+  const auto sweep = torn_sweep(PreservationMode::kImmediate, /*stride=*/5);
   const IntegrityReport report = checker_->check_scenarios(
       sample_, sweep, PreservationMode::kImmediate, /*protect=*/false);
+  ASSERT_EQ(report.outcomes.size(), sweep.size());
+  expect_every_outage_fired(report);
   EXPECT_GT(report.count(IntegrityVerdict::kSilent) +
                 report.count(IntegrityVerdict::kCrashed),
             0u)

@@ -25,7 +25,7 @@ class ScheduleProperty : public ::testing::TestWithParam<PreservationMode> {
     graph_ = std::make_unique<nn::Graph>(make_multipath_graph(rng));
     calib_ = make_batch(rng, *graph_, 8);
     sample_ = slice_sample(calib_, 1);
-    checker_ = std::make_unique<ConsistencyChecker>(*graph_, calib_);
+    checker_ = std::make_unique<Checker>(*graph_, calib_);
   }
 
   static std::vector<OutageSchedule> make_schedules() {
@@ -44,7 +44,7 @@ class ScheduleProperty : public ::testing::TestWithParam<PreservationMode> {
   std::unique_ptr<nn::Graph> graph_;
   nn::Tensor calib_;
   nn::Tensor sample_;
-  std::unique_ptr<ConsistencyChecker> checker_;
+  std::unique_ptr<Checker> checker_;
 };
 
 TEST_P(ScheduleProperty, RandomSchedulesAlwaysTerminateAndMatchGolden) {
@@ -99,7 +99,7 @@ TEST_P(ScheduleProperty, ReportIsDeterministicAcrossLaneCounts) {
 TEST_P(ScheduleProperty, TornSchedulesStayConsistentUnderProtection) {
   CheckerConfig cfg;
   cfg.engine.integrity.protect_progress = true;
-  const ConsistencyChecker protected_checker(*graph_, calib_, cfg);
+  const Checker protected_checker(*graph_, calib_, cfg);
 
   std::vector<OutageSchedule> schedules = make_schedules();
   schedules.resize(48);

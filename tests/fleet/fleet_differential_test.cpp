@@ -25,8 +25,9 @@
 namespace iprune::fleet {
 namespace {
 
-// Must match DeviceSim's private constant: the calibration batch drawn
-// (before the sample batch) from the device's model Rng stream.
+// Must match fault::kCalibrationSamples, which DeviceSim uses: the
+// calibration batch drawn (before the sample batch) from the device's
+// model Rng stream. Restated here so a change to it shows up as a drift.
 constexpr std::size_t kCalibrationSamples = 8;
 
 struct StandaloneRun {

@@ -101,6 +101,12 @@ TEST(FleetSpec, ParseRejectsMalformedInput) {
   expect_parse_error("group: name=a\"b count=2\n",
                      "fleet spec: group 'a\"b' name must match "
                      "[A-Za-z0-9_.-]+");
+  // The device cap holds where a 64-bit sum of the counts would wrap.
+  expect_parse_error("group: name=a count=65536\ngroup: name=b count=1\n",
+                     "fleet spec: fleet exceeds 65536 devices");
+  expect_parse_error("group: name=a count=9223372036854775808\n"
+                     "group: name=b count=9223372036854775808\n",
+                     "fleet spec: fleet exceeds 65536 devices");
 }
 
 TEST(FleetSpec, WithDevicesScalesProportionally) {
@@ -130,6 +136,10 @@ TEST(FleetSpec, WithDevicesScalesProportionally) {
   EXPECT_EQ(one.groups[0].name, "a");
 
   EXPECT_THROW(spec.with_devices(0), std::invalid_argument);
+  EXPECT_EQ(spec.with_devices(FleetSpec::kMaxDevices).total_devices(),
+            FleetSpec::kMaxDevices);
+  EXPECT_THROW(spec.with_devices(FleetSpec::kMaxDevices + 1),
+               std::invalid_argument);
 }
 
 TEST(FleetSpec, ResolveIsDeterministicAndDecorrelated) {

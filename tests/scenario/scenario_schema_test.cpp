@@ -43,7 +43,7 @@ TEST(ScenarioSchema, MinimalDocumentParses) {
   EXPECT_EQ(sc.groups.size(), 1u);
   EXPECT_EQ(sc.groups[0].name, "g");
   EXPECT_EQ(sc.groups[0].count, 1u);
-  EXPECT_EQ(sc.total_devices(), 1u);
+  EXPECT_EQ(sc.to_fleet(fleet::SimKind::kStepping).total_devices(), 1u);
   // Three leaves: version, name, and the group's name.
   EXPECT_EQ(sc.schema_fields(), 3u);
 }
@@ -117,7 +117,7 @@ TEST(ScenarioSchema, RejectsOutOfRangeValues) {
   expect_reject("{\"version\": 1, \"name\": \"x\", \"groups\": "
                 "[{\"name\": \"a\", \"count\": 9223372036854775808}, "
                 "{\"name\": \"b\", \"count\": 9223372036854775808}]}",
-                "scenario: fleet exceeds 65536 devices");
+                "fleet spec: fleet exceeds 65536 devices");
 }
 
 TEST(ScenarioSchema, LeafDslErrorsPropagateVerbatim) {
