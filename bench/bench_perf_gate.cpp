@@ -1,10 +1,11 @@
 // bench_perf_gate: the perf-regression gate behind the CI `perf-gate` job.
 //
 // Runs a fixed set of median-of-k timed scenarios — the GEMM micro-kernels
-// (optimized and retained-naive reference), a Conv2d::infer, the
-// Conv2d::backward of fine-tuning (dense and 70% masked), the BSR
-// packing and Q15 quantization deploy steps, one end-to-end intermittent
-// inference, a sensitivity sweep, and the fleet simulator — and writes
+// (optimized, baseline-ISA and retained-naive reference), a
+// Conv2d::infer, the Conv2d::backward of fine-tuning (dense and 70%
+// masked), one HAR training step, the BSR packing and Q15 quantization
+// deploy steps, one end-to-end intermittent inference, a sensitivity
+// sweep, and the fleet simulator — and writes
 // BENCH_PERF.json (schema util::PerfReport). With --check the report is
 // compared against the checked-in baseline and the process exits nonzero
 // on a regression, a checksum change (the kernels' numerics drifted), or
@@ -33,6 +34,7 @@
 #include "data/synthetic.hpp"
 #include "engine/bsr.hpp"
 #include "engine/engine.hpp"
+#include "apps/models.hpp"
 #include "fleet/orchestrator.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
@@ -118,8 +120,7 @@ GemmInputs make_gemm_inputs(std::size_t m, std::size_t k, std::size_t n,
   return in;
 }
 
-using GemmFn = void (*)(const float*, const float*, float*, std::size_t,
-                        std::size_t, std::size_t);
+using iprune::nn::GemmFn;
 
 PerfEntry time_gemm(const std::string& name, GemmFn fn, std::size_t m,
                     std::size_t k, std::size_t n, double density,
@@ -219,13 +220,64 @@ PerfEntry time_conv_backward(const std::string& name, double pruned,
     sum.fold_floats(p.grad->data(), p.grad->numel());
   }
   sum.fold_floats(grads[0].data(), grads[0].numel());
+  // backward() takes its upstream gradient by value, as Graph::backward
+  // moves it in: copy it for every call here, outside the timed region.
+  std::vector<nn::Tensor> upstream_copies(iters, grad_out);
+  std::size_t call = 0;
   PerfEntry e;
   e.name = name;
   e.iters = iters;
   e.checksum = sum.value();
   e.median_ns = median_ns(iters, [&] {
     conv.zero_grads();
-    (void)conv.backward(grad_out, true);
+    (void)conv.backward(std::move(upstream_copies[call++]), true);
+  });
+  return e;
+}
+
+PerfEntry time_train_step_har(std::size_t iters) {
+  // One fine-tuning step of the HAR model at batch 32: forward, backward,
+  // gradient clipping and SGD, through Trainer::train. Every timed call
+  // steps its own clone of the same initial graph, so each redoes the
+  // identical step; the checksum covers the parameters after one step.
+  namespace nn = iprune::nn;
+  constexpr std::size_t kBatch = 32;
+  iprune::util::Rng rng(26);
+  const nn::Graph initial = iprune::apps::build_har(rng);
+  nn::Shape shape = initial.input_shape();
+  shape.insert(shape.begin(), kBatch);
+  nn::Tensor x(shape);
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.normal());
+  }
+  const auto classes = static_cast<std::int64_t>(
+      initial.node_shape(initial.output())[0]);
+  std::vector<int> y(kBatch);
+  for (int& label : y) {
+    label = static_cast<int>(rng.uniform_int(0, classes - 1));
+  }
+  nn::TrainConfig config;
+  config.epochs = 1;
+  config.batch_size = kBatch;
+
+  nn::Graph stepped = initial.clone();
+  nn::Trainer(stepped).train(x, y, config);
+  Checksum sum;
+  for (const nn::ParamRef& p : stepped.params()) {
+    sum.fold_floats(p.value->data(), p.value->numel());
+  }
+  std::vector<nn::Graph> graphs;
+  graphs.reserve(iters);
+  for (std::size_t i = 0; i < iters; ++i) {
+    graphs.push_back(initial.clone());
+  }
+  std::size_t call = 0;
+  PerfEntry e;
+  e.name = "train_step_har_b32";
+  e.iters = iters;
+  e.checksum = sum.value();
+  e.median_ns = median_ns(iters, [&] {
+    nn::Trainer(graphs[call++]).train(x, y, config);
   });
   return e;
 }
@@ -410,6 +462,11 @@ PerfReport run_all() {
                        kM, 1.0, kMicroIters));
   report.add(time_gemm("gemm_ref_dense_64", iprune::nn::ref::gemm_accumulate,
                        kM, kM, kM, 1.0, kMicroIters));
+  // The baseline-ISA instantiation, which gemm_accumulate runs on hosts
+  // without AVX2; it must checksum like gemm_dense_64.
+  report.add(time_gemm("gemm_baseline_dense_64",
+                       iprune::nn::gemm_paths().front().accumulate, kM, kM,
+                       kM, 1.0, kMicroIters));
   report.add(time_gemm("gemm_sparse90_64", iprune::nn::gemm_accumulate, kM,
                        kM, kM, 0.1, kMicroIters));
   report.add(time_gemm("gemm_at_b_64", iprune::nn::gemm_at_b, kM, kM, kM,
@@ -419,6 +476,7 @@ PerfReport run_all() {
   report.add(time_conv_infer(17));
   report.add(time_conv_backward("conv2d_backward_har2_dense", 0.0, 9));
   report.add(time_conv_backward("conv2d_backward_har2_masked70", 0.7, 9));
+  report.add(time_train_step_har(9));
   report.add(time_bsr_build(kMicroIters));
   report.add(time_quantize_q15(kMicroIters));
   report.add(time_engine_e2e(7));

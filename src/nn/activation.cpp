@@ -37,24 +37,24 @@ Tensor Relu::forward(std::span<const Tensor* const> inputs, bool training) {
     out[i] = pass ? in[i] : 0.0f;
     active[i] = pass ? 1 : 0;
   }
-  cached_shape_ = input.shape();
   return output;
 }
 
-std::vector<Tensor> Relu::backward(const Tensor& grad_output,
+std::vector<Tensor> Relu::backward(Tensor grad_output,
                                    bool /*need_input_grads*/) {
   assert(grad_output.numel() == active_.size());
-  Tensor grad_input(cached_shape_);
-  const float* g = grad_output.data();
   const std::uint8_t* active = active_.data();
-  float* out = grad_input.data();
-  // A select, not g * mask: an inactive element's gradient is +0 even
-  // when g is negative or not finite.
+  float* g = grad_output.data();
+  // In place, and a select, not g * mask: an inactive element's gradient
+  // is +0 even when g is negative or not finite, and an active one keeps
+  // g's bits. Every g[i] is loaded, so the loop vectorizes into a masked
+  // select rather than a branch per element.
   for (std::size_t i = 0; i < grad_output.numel(); ++i) {
-    out[i] = active[i] != 0 ? g[i] : 0.0f;
+    const float v = g[i];
+    g[i] = active[i] != 0 ? v : 0.0f;
   }
   std::vector<Tensor> grads;
-  grads.push_back(std::move(grad_input));
+  grads.push_back(std::move(grad_output));
   return grads;
 }
 
@@ -83,12 +83,11 @@ Tensor Flatten::forward(std::span<const Tensor* const> inputs,
   return infer(inputs);
 }
 
-std::vector<Tensor> Flatten::backward(const Tensor& grad_output,
+std::vector<Tensor> Flatten::backward(Tensor grad_output,
                                       bool /*need_input_grads*/) {
-  Tensor grad_input = grad_output;
-  grad_input.reshape(cached_shape_);
+  grad_output.reshape(cached_shape_);
   std::vector<Tensor> grads;
-  grads.push_back(std::move(grad_input));
+  grads.push_back(std::move(grad_output));
   return grads;
 }
 

@@ -21,7 +21,7 @@ class Relu final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output,
+  std::vector<Tensor> backward(Tensor grad_output,
                                bool need_input_grads) override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;
@@ -32,7 +32,6 @@ class Relu final : public Layer {
   // Per-element pass-through mask from forward, one byte each so both
   // passes vectorize (a bit-packed vector<bool> does not).
   std::vector<std::uint8_t> active_;
-  Shape cached_shape_;
 };
 
 class Flatten final : public Layer {
@@ -47,7 +46,7 @@ class Flatten final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output,
+  std::vector<Tensor> backward(Tensor grad_output,
                                bool need_input_grads) override;
   [[nodiscard]] Shape output_shape(
       std::span<const Shape> input_shapes) const override;

@@ -61,7 +61,7 @@ Tensor Concat::forward(std::span<const Tensor* const> inputs, bool training) {
   return infer(inputs);
 }
 
-std::vector<Tensor> Concat::backward(const Tensor& grad_output,
+std::vector<Tensor> Concat::backward(Tensor grad_output,
                                      bool /*need_input_grads*/) {
   std::vector<Tensor> grads;
   grads.reserve(cached_input_shapes_.size());

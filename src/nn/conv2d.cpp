@@ -160,7 +160,7 @@ Tensor Conv2d::forward(std::span<const Tensor* const> inputs, bool training) {
   return infer(inputs);
 }
 
-std::vector<Tensor> Conv2d::backward(const Tensor& grad_output,
+std::vector<Tensor> Conv2d::backward(Tensor grad_output,
                                      bool need_input_grads) {
   const Tensor& input = cached_input_;
   assert(input.rank() == 4);

@@ -35,7 +35,7 @@ class Conv2d final : public Layer {
       std::span<const Tensor* const> inputs) const override;
   Tensor forward(std::span<const Tensor* const> inputs,
                  bool training) override;
-  std::vector<Tensor> backward(const Tensor& grad_output,
+  std::vector<Tensor> backward(Tensor grad_output,
                                bool need_input_grads) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] Shape output_shape(

@@ -56,7 +56,7 @@ Tensor Dense::forward(std::span<const Tensor* const> inputs, bool training) {
   return infer(inputs);
 }
 
-std::vector<Tensor> Dense::backward(const Tensor& grad_output,
+std::vector<Tensor> Dense::backward(Tensor grad_output,
                                     bool need_input_grads) {
   const Tensor& input = cached_input_;
   const std::size_t batch = input.dim(0);

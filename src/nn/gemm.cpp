@@ -71,7 +71,12 @@ namespace {
 constexpr std::size_t kDenseNum = 3;
 constexpr std::size_t kDenseDen = 4;
 
-inline std::size_t count_nonzero(const float* __restrict row, std::size_t k) {
+// The helpers and kernel bodies below are force-inlined into each entry
+// point, so every instantiation compiles all of its loops for its own
+// target. Not inlined, an AVX2 entry point would call baseline helpers.
+
+[[gnu::always_inline]] inline std::size_t count_nonzero(
+    const float* __restrict row, std::size_t k) {
   std::size_t nnz = 0;
   for (std::size_t kk = 0; kk < k; ++kk) {
     nnz += row[kk] != 0.0f ? 1 : 0;
@@ -81,8 +86,9 @@ inline std::size_t count_nonzero(const float* __restrict row, std::size_t k) {
 
 /// c_row[j] += a_ik * b_row[j] for all j, 4x-unrolled. The per-element
 /// accumulation order is exactly the naive loop's.
-inline void axpy_row(const float* __restrict b_row, float* __restrict c_row,
-                     float a_ik, std::size_t n) {
+[[gnu::always_inline]] inline void axpy_row(const float* __restrict b_row,
+                                            float* __restrict c_row,
+                                            float a_ik, std::size_t n) {
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
     c_row[j] += a_ik * b_row[j];
@@ -99,9 +105,9 @@ inline void axpy_row(const float* __restrict b_row, float* __restrict c_row,
 /// load/store of each C element. Each C element still receives its four
 /// contributions as separate rounded adds in ascending-k order, so the
 /// result is bit-identical to four axpy_row calls.
-inline void dense_row_update(const float* __restrict a_row,
-                             const float* __restrict b, float* __restrict c_row,
-                             std::size_t k, std::size_t n) {
+[[gnu::always_inline]] inline void dense_row_update(
+    const float* __restrict a_row, const float* __restrict b,
+    float* __restrict c_row, std::size_t k, std::size_t n) {
   std::size_t kk = 0;
   for (; kk + 4 <= k; kk += 4) {
     const float a0 = a_row[kk];
@@ -126,10 +132,11 @@ inline void dense_row_update(const float* __restrict a_row,
   }
 }
 
-}  // namespace
-
-void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
-                     std::size_t k, std::size_t n) {
+[[gnu::always_inline]] inline void accumulate_body(const float* a,
+                                                   const float* b, float* c,
+                                                   std::size_t m,
+                                                   std::size_t k,
+                                                   std::size_t n) {
   // i-k-j order like ref::gemm_accumulate; per row, one nonzero scan picks
   // between the zero-skipping sparse path and the branch-free dense path.
   for (std::size_t i = 0; i < m; ++i) {
@@ -150,8 +157,9 @@ void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
-void gemm_at_b(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t k, std::size_t n) {
+[[gnu::always_inline]] inline void at_b_body(const float* a, const float* b,
+                                             float* c, std::size_t m,
+                                             std::size_t k, std::size_t n) {
   // k-i-j order like ref::gemm_at_b: per C element the k-contributions
   // still arrive in ascending order, because the k loop stays outermost.
   for (std::size_t kk = 0; kk < k; ++kk) {
@@ -172,6 +180,69 @@ void gemm_at_b(const float* a, const float* b, float* c, std::size_t m,
       axpy_row(b_row, c + i * n, a_ki, n);
     }
   }
+}
+
+void accumulate_baseline(const float* a, const float* b, float* c,
+                         std::size_t m, std::size_t k, std::size_t n) {
+  accumulate_body(a, b, c, m, k, n);
+}
+
+void at_b_baseline(const float* a, const float* b, float* c, std::size_t m,
+                   std::size_t k, std::size_t n) {
+  at_b_body(a, b, c, m, k, n);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define IPRUNE_GEMM_AVX2 1
+
+// AVX2 without FMA: 8-wide vmulps/vaddps perform the same rounded
+// multiply and rounded add per element as the baseline's 4-wide SSE2 ops
+// (and -ffp-contract=off keeps any target from fusing them), so both
+// instantiations produce identical bits.
+[[gnu::target("avx2")]] void accumulate_avx2(const float* a, const float* b,
+                                             float* c, std::size_t m,
+                                             std::size_t k, std::size_t n) {
+  accumulate_body(a, b, c, m, k, n);
+}
+
+[[gnu::target("avx2")]] void at_b_avx2(const float* a, const float* b,
+                                       float* c, std::size_t m,
+                                       std::size_t k, std::size_t n) {
+  at_b_body(a, b, c, m, k, n);
+}
+#endif
+
+constexpr GemmPath kPaths[] = {
+    {"baseline", accumulate_baseline, at_b_baseline},
+#ifdef IPRUNE_GEMM_AVX2
+    {"avx2", accumulate_avx2, at_b_avx2},
+#endif
+};
+
+std::size_t runnable_path_count() {
+#ifdef IPRUNE_GEMM_AVX2
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") ? 2 : 1;
+#else
+  return 1;
+#endif
+}
+
+}  // namespace
+
+std::span<const GemmPath> gemm_paths() {
+  static const std::size_t count = runnable_path_count();
+  return {kPaths, count};
+}
+
+void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
+                     std::size_t k, std::size_t n) {
+  gemm_paths().back().accumulate(a, b, c, m, k, n);
+}
+
+void gemm_at_b(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t k, std::size_t n) {
+  gemm_paths().back().at_b(a, b, c, m, k, n);
 }
 
 void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m,

@@ -14,10 +14,31 @@
 // either skip zero weights block-free (pruned rows) or run a dense fast
 // path that drops the per-element zero branch and register-tiles the
 // reduction (see docs/performance.md).
+//
+// ISA selection: gemm_accumulate and gemm_at_b are compiled twice from one
+// source, for the baseline ISA and (on x86) for AVX2 without FMA, and run
+// the widest instantiation the CPU supports, chosen once per process.
+// Vector width never changes a result's bits; gemm_paths() exposes every
+// instantiation so the tests can hold each to nn::ref.
 
 #include <cstddef>
+#include <span>
 
 namespace iprune::nn {
+
+using GemmFn = void (*)(const float*, const float*, float*, std::size_t,
+                        std::size_t, std::size_t);
+
+/// One compiled instantiation of the axpy-form kernels.
+struct GemmPath {
+  const char* isa;  // "baseline" or "avx2"
+  GemmFn accumulate;
+  GemmFn at_b;
+};
+
+/// The instantiations this host can run, baseline first. gemm_accumulate
+/// and gemm_at_b call the last one.
+std::span<const GemmPath> gemm_paths();
 
 /// C[m x n] += A[m x k] * B[k x n]   (all row-major, C must be pre-zeroed
 /// by the caller when accumulation is not wanted).

@@ -152,8 +152,9 @@ void Graph::backward(const Tensor& grad_output) {
     // (conv1 in every paper model) is told to skip computing one.
     const bool need_input_grads = std::any_of(
         ins.begin(), ins.end(), [this](NodeId id) { return id != input(); });
-    std::vector<Tensor> input_grads =
-        layers_[node - 1]->backward(grads[node], need_input_grads);
+    // Nothing reads this node's slot again, so the layer may reuse it.
+    std::vector<Tensor> input_grads = layers_[node - 1]->backward(
+        std::move(grads[node]), need_input_grads);
     if (!need_input_grads) {
       continue;
     }

@@ -72,7 +72,10 @@ class Layer {
   /// `need_input_grads` false nobody reads the input gradients (the layer
   /// consumes only the graph input), so a layer may skip them and return
   /// an empty vector; its parameter gradients are the same either way.
-  virtual std::vector<Tensor> backward(const Tensor& grad_output,
+  /// The layer owns `grad_output` and may return its storage as an input
+  /// gradient: Graph::backward moves each node's gradient in, and a
+  /// caller that passes an lvalue keeps its own copy unchanged.
+  virtual std::vector<Tensor> backward(Tensor grad_output,
                                        bool need_input_grads) = 0;
 
   /// Trainable parameters (empty for stateless layers).

@@ -46,7 +46,7 @@ Tensor MaxPool2d::compute(const Tensor& input,
 
   Tensor output({batch, channels, ho, wo});
   if (argmax != nullptr) {
-    argmax->assign(output.numel(), 0);
+    argmax->resize(output.numel());  // every entry is written below
   }
   std::size_t out_idx = 0;
   for (std::size_t n = 0; n < batch; ++n) {
@@ -55,8 +55,11 @@ Tensor MaxPool2d::compute(const Tensor& input,
       const std::size_t plane_base = (n * channels + c) * in_h * in_w;
       for (std::size_t oy = 0; oy < ho; ++oy) {
         for (std::size_t ox = 0; ox < wo; ++ox, ++out_idx) {
+          // A window of only NaN or -inf keeps best at -inf and routes
+          // its gradient to its own first element.
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_idx =
+              plane_base + oy * spec_.stride * in_w + ox * spec_.stride;
           for (std::size_t wy = 0; wy < spec_.window_h; ++wy) {
             for (std::size_t wx = 0; wx < spec_.window_w; ++wx) {
               const std::size_t iy = oy * spec_.stride + wy;
@@ -95,7 +98,7 @@ Tensor MaxPool2d::forward(std::span<const Tensor* const> inputs,
   return compute(input, &argmax_);
 }
 
-std::vector<Tensor> MaxPool2d::backward(const Tensor& grad_output,
+std::vector<Tensor> MaxPool2d::backward(Tensor grad_output,
                                         bool /*need_input_grads*/) {
   Tensor grad_input(cached_input_shape_);
   assert(grad_output.numel() == argmax_.size());
@@ -150,7 +153,7 @@ Tensor AvgPool2d::forward(std::span<const Tensor* const> inputs,
   return infer(inputs);
 }
 
-std::vector<Tensor> AvgPool2d::backward(const Tensor& grad_output,
+std::vector<Tensor> AvgPool2d::backward(Tensor grad_output,
                                         bool /*need_input_grads*/) {
   Tensor grad_input(cached_input_shape_);
   const std::size_t batch = cached_input_shape_[0];

@@ -8,6 +8,7 @@
 // quantization accuracy delta stays small.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/tensor.hpp"
@@ -28,6 +29,12 @@ struct QTensor {
 /// Quantize symmetrically so that abs_max maps to 32767. A zero tensor gets
 /// scale 1 (all zeros).
 QTensor quantize_q15(const Tensor& tensor);
+
+/// quantize_q15's per-element step: out[i] = values[i] * inv_scale rounded
+/// half to even and saturated to [-32768, 32767]; NaN maps to -32768.
+/// `out` must have the size of `values`.
+void scale_to_q15(std::span<const float> values, float inv_scale,
+                  std::span<std::int16_t> out);
 
 Tensor dequantize(const QTensor& q);
 

@@ -107,8 +107,9 @@ fault::OutageSchedule random_schedule(util::Rng& rng) {
 fleet::DeviceGroup random_group(util::Rng& rng, std::size_t index,
                                 const FuzzConfig& config) {
   fleet::DeviceGroup group;
-  group.name = "g";
-  group.name += std::to_string(index);
+  // append, not "g" + ...: GCC 12 misreads the inlined insert() that the
+  // operator+ forms use as a huge overlapping memcpy (-Wrestrict).
+  group.name = std::string("g").append(std::to_string(index));
   group.count = 1 + rng.uniform_index(config.max_count);
   group.model = rng.bernoulli(0.2) ? fleet::ModelKind::kMultipath
                                    : fleet::ModelKind::kTiny;

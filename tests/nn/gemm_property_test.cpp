@@ -5,6 +5,11 @@
 // the contract that lets the perf gate treat a checksum change as a
 // regression: optimizations may reorder memory traffic, never the
 // per-element floating-point accumulation sequence.
+//
+// gemm_accumulate and gemm_at_b are compiled once per ISA (gemm_paths()),
+// and the public entry points run only the widest one the host supports,
+// so every case below runs each instantiation the host can execute:
+// without that, an AVX2 host would never test the baseline code.
 
 #include "nn/gemm.hpp"
 
@@ -19,20 +24,27 @@
 namespace iprune::nn {
 namespace {
 
-using GemmFn = void (*)(const float*, const float*, float*, std::size_t,
-                        std::size_t, std::size_t);
-
 struct Kernel {
-  const char* name;
+  std::string name;
   GemmFn optimized;
   GemmFn reference;
 };
 
-const Kernel kKernels[] = {
-    {"gemm_accumulate", gemm_accumulate, ref::gemm_accumulate},
-    {"gemm_at_b", gemm_at_b, ref::gemm_at_b},
-    {"gemm_a_bt", gemm_a_bt, ref::gemm_a_bt},
-};
+/// Every optimized kernel under test: gemm_accumulate and gemm_at_b once
+/// per instantiation this host can run, gemm_a_bt once.
+std::vector<Kernel> all_kernels() {
+  std::vector<Kernel> kernels;
+  for (const GemmPath& path : gemm_paths()) {
+    kernels.push_back({std::string("gemm_accumulate/") + path.isa,
+                       path.accumulate, ref::gemm_accumulate});
+    kernels.push_back(
+        {std::string("gemm_at_b/") + path.isa, path.at_b, ref::gemm_at_b});
+  }
+  kernels.push_back({"gemm_a_bt", gemm_a_bt, ref::gemm_a_bt});
+  return kernels;
+}
+
+const std::vector<Kernel> kKernels = all_kernels();
 
 constexpr std::size_t kDims[] = {1, 2, 3, 7, 16, 17, 64};
 constexpr double kSparsities[] = {0.0, 0.5, 0.9, 1.0};
@@ -167,14 +179,31 @@ TEST(GemmProperty, DensityThresholdBoundaryIsExact) {
       }
     }
     const std::vector<float> b = random_matrix(rng, k * n, 0.0);
-    std::vector<float> c_opt(3 * n, 0.0f);
     std::vector<float> c_ref(3 * n, 0.0f);
-    gemm_accumulate(a.data(), b.data(), c_opt.data(), 3, k, n);
     ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), 3, k, n);
-    ASSERT_EQ(0, std::memcmp(c_opt.data(), c_ref.data(),
-                             c_opt.size() * sizeof(float)))
-        << "nnz=" << nnz;
+    for (const GemmPath& path : gemm_paths()) {
+      std::vector<float> c_opt(3 * n, 0.0f);
+      path.accumulate(a.data(), b.data(), c_opt.data(), 3, k, n);
+      ASSERT_EQ(0, std::memcmp(c_opt.data(), c_ref.data(),
+                               c_opt.size() * sizeof(float)))
+          << path.isa << " nnz=" << nnz;
+    }
   }
+}
+
+TEST(GemmProperty, HostRunsEveryInstantiationItSupports) {
+  // The baseline always runs; an AVX2 host must also run (and so test)
+  // the AVX2 instantiation, which the public kernels then call.
+  const std::span<const GemmPath> paths = gemm_paths();
+  ASSERT_FALSE(paths.empty());
+  EXPECT_STREQ(paths.front().isa, "baseline");
+#if defined(__x86_64__) || defined(__i386__)
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  ASSERT_EQ(paths.size(), avx2 ? 2u : 1u);
+  EXPECT_STREQ(paths.back().isa, avx2 ? "avx2" : "baseline");
+#else
+  EXPECT_EQ(paths.size(), 1u);
+#endif
 }
 
 }  // namespace
